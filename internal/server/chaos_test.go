@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +83,75 @@ func TestChaosPersistentFaultSealsEngine(t *testing.T) {
 	}
 	if err := eng.Close(); !errors.Is(err, ErrSealed) {
 		t.Fatalf("close of sealed engine = %v, want its seal error", err)
+	}
+}
+
+// TestSealRaceReadersNeverServeAfterSealed races index readers against an
+// injected seal: once any writer has seen ErrSealed, no Get that starts
+// afterwards may succeed — the index holds state the media never accepted,
+// so the seal must be published before a waiter learns of it. Every failed
+// writer must also receive the very error SealErr reports.
+func TestSealRaceReadersNeverServeAfterSealed(t *testing.T) {
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond, CommitRetries: -1})
+	defer pool.Close()
+	key := []byte("k")
+	if _, err := eng.Put(key, []byte("durable")); err != nil {
+		t.Fatal(err)
+	}
+	device(pool).SetFaultFn(pmem.FailSyncsAfter(2, errInjected))
+
+	var sealSeen atomic.Bool
+	var wg sync.WaitGroup
+	writerErrs := make([]error, 2)
+	for w := range writerErrs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				_, err := eng.Put(key, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err != nil {
+					sealSeen.Store(true)
+					writerErrs[w] = err
+					if _, _, err := eng.Get(key); err == nil {
+						t.Error("get served the index right after its writer saw ErrSealed")
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				seen := sealSeen.Load()
+				_, _, err := eng.Get(key)
+				if err != nil {
+					if !errors.Is(err, ErrSealed) {
+						t.Errorf("get: %v, want ErrSealed", err)
+					}
+					return
+				}
+				if seen {
+					t.Error("get served the index after a writer saw ErrSealed")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sealErr := eng.SealErr()
+	if !errors.Is(sealErr, ErrSealed) {
+		t.Fatalf("SealErr = %v, want ErrSealed", sealErr)
+	}
+	for w, err := range writerErrs {
+		if err != sealErr {
+			t.Errorf("writer %d error %v is not the SealErr value %v", w, err, sealErr)
+		}
+	}
+	if err := eng.Close(); err != sealErr {
+		t.Fatalf("close of sealed engine = %v, want %v", err, sealErr)
 	}
 }
 

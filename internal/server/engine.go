@@ -406,6 +406,12 @@ type Engine struct {
 	// rate-limits pipeline-stall onset events (unix nanos of the last one).
 	events         eventHub
 	lastStallEvent atomic.Int64
+
+	// front is booked by a Server serving this engine directly; frontOnce
+	// registers it on first use, so the shards of a ShardedEngine (whose
+	// router owns the front door) export no idle copies.
+	front     frontDoorStats
+	frontOnce sync.Once
 }
 
 // New builds an engine serving the map rooted at slot of pool and starts its
@@ -492,6 +498,11 @@ func (e *Engine) Stats() *EngineStats { return &e.stats }
 // read simulator state, so sample it either via the STATS request (which
 // runs on the writer loop) or after Close — not concurrently with traffic.
 func (e *Engine) Registry() *stats.Registry { return e.reg }
+
+func (e *Engine) frontDoor() *frontDoorStats {
+	e.frontOnce.Do(func() { e.front.register(e.reg) })
+	return &e.front
+}
 
 func (r *request) finish(res result) { r.done <- res }
 
@@ -624,20 +635,24 @@ func (e *Engine) Get(key []byte) ([]byte, bool, error) {
 		res := e.do(opGet, key, nil)
 		return res.value, res.found, res.err
 	}
+	// The read lock stays held across the index lookup, so seal's write
+	// lock orders every read either wholly before the seal is published or
+	// after it — and the seal is published before any writer sees ErrSealed.
 	e.mu.RLock()
-	closed, sealErr := e.closed, e.sealErr
-	e.mu.RUnlock()
-	if closed {
+	if e.closed {
+		err := e.sealErr
+		e.mu.RUnlock()
 		// A sealed engine fails reads too: the index may hold applied
 		// mutations the media never accepted, which will roll back on
 		// recovery — serving them would fabricate acked state.
-		if sealErr != nil {
-			return nil, false, sealErr
+		if err != nil {
+			return nil, false, err
 		}
 		return nil, false, ErrClosed
 	}
 	t0 := time.Now()
 	v, ok := e.idx.get(key)
+	e.mu.RUnlock()
 	e.stats.Gets.Inc()
 	if ok {
 		e.stats.ReadIndexHits.Inc()
@@ -753,18 +768,25 @@ func (e *Engine) failErr() error {
 // seal marks the engine failed-stop after cause: every subsequent request —
 // and everything still queued — fails with the seal error. Unlike Close it
 // never attempts a final persist; the medium already refused one.
-func (e *Engine) seal(cause error) {
+//
+// It returns the published seal error, the one value every failed waiter
+// must receive (so a waiter's error == SealErr()). Callers publish the seal
+// before telling any waiter: once a writer has seen ErrSealed, no Get may
+// still serve the index, which holds state the media never accepted.
+func (e *Engine) seal(cause error) error {
 	e.mu.Lock()
 	first := e.sealErr == nil
 	if first {
 		e.sealErr = fmt.Errorf("%w: %v", ErrSealed, cause)
 	}
+	err := e.sealErr
 	e.closed = true
 	e.mu.Unlock()
 	if first {
 		e.events.emit(blackbox.EvSeal, 0, errDetail{Error: cause.Error()})
 	}
 	e.stopOnce.Do(func() { close(e.stop) })
+	return err
 }
 
 // drainQueue fails every queued request with failErr. Callers must ensure
@@ -931,9 +953,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // publishes a partial image, and nothing is acked until one attempt fully
 // succeeds; the backoff sleeps run outside poolMu so the sealer keeps
 // applying between attempts. On success the commit is handed to the acker
-// with its media deadline; on exhaustion the batch's waiters are failed
-// (never acked), the failed CommitRecord is pinned, and the error returns
-// for the persister to seal the engine.
+// with its media deadline; on exhaustion the engine seals, and only then
+// are the batch's waiters failed (never acked) with the seal error; the
+// failed CommitRecord is pinned and the error returns to the persister.
 func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
 	rec := CommitRecord{
 		Batch:    b.mutations,
@@ -959,7 +981,7 @@ func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
 		rec.Err = err.Error()
 		rec = e.rec.record(rec)
 		e.events.emit(blackbox.EvCommitFailed, 0, rec)
-		failAll(b.waiters, fmt.Errorf("%w: %v", ErrSealed, err))
+		failAll(b.waiters, e.seal(err))
 		return nil, err
 	}
 	return &issuedCommit{
@@ -1178,9 +1200,9 @@ func (e *Engine) applyInto(b *sealedBatch, req *request) {
 }
 
 // persister is the second pipeline stage: it turns sealed batches into
-// issued commits, in seal order. When a persist fails after retries the
-// batch's waiters were already failed inside persistSealed; the persister
-// then seals the engine and fails every later sealed-but-unpersisted batch
+// issued commits, in seal order. When a persist fails after retries,
+// persistSealed has sealed the engine and failed the batch's waiters; the
+// persister then fails every later sealed-but-unpersisted batch
 // — an unacked in-flight epoch is legal to abandon, but it must never ack.
 // Epochs already handed to the acker persisted successfully and still ack.
 // After a seal (or crash) it also drains the request queue, once nothing
@@ -1200,7 +1222,6 @@ func (e *Engine) persister() {
 		e.depth.Add(1)
 		ic, err := e.persistSealed(b)
 		if err != nil {
-			e.seal(err)
 			failed = true
 			e.depth.Add(-1)
 			continue

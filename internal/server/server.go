@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"pax/internal/stats"
 	"pax/internal/wire"
 )
 
@@ -16,6 +17,9 @@ import (
 // the backend owns the request and delivers exactly one result on req.done.
 type Backend interface {
 	begin(req *request) error
+	// frontDoor returns the counters Server books this backend's
+	// connections against, exported in its metrics as paxserve_wire_*.
+	frontDoor() *frontDoorStats
 }
 
 // Server is the TCP front end: it speaks the wire protocol and forwards
@@ -31,7 +35,8 @@ type Server struct {
 	// FlagAckDefault. The zero value is AckDurable, the protocol's original
 	// contract; paxserve -ack-policy overrides it.
 	DefaultAckPolicy AckPolicy
-	// WriteTimeout bounds each response write (default 30s).
+	// WriteTimeout bounds each burst of response writes, from its first
+	// response to the flush that ends it (default 30s).
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level errors (default: drop them;
 	// a malformed client is not a server event worth crashing over).
@@ -110,9 +115,52 @@ func (s *Server) Shutdown() {
 }
 
 // maxInflight bounds how many pipelined requests one connection may have
-// dispatched at once; past it the reader stops reading and TCP pushes back.
+// dispatched and not yet answered; past it the reader stops reading and TCP
+// pushes back.
 const maxInflight = 256
 
+// frontDoorStats counts the TCP front end's syscall batching, summed over
+// every connection a backend serves: responses per flush is how many answers
+// one write(2) carries, responses per dispatch batch how many requests one
+// read(2) handed the writer.
+type frontDoorStats struct {
+	responses       stats.Counter // responses framed onto a connection
+	flushes         stats.Counter // writes of framed responses to a socket
+	dispatchBatches stats.Counter // request batches handed to a writer
+}
+
+func (f *frontDoorStats) register(reg *stats.Registry) {
+	reg.RegisterCounter("paxserve_wire_responses", &f.responses)
+	reg.RegisterCounter("paxserve_wire_flushes", &f.flushes)
+	reg.RegisterCounter("paxserve_wire_dispatch_batches", &f.dispatchBatches)
+}
+
+// countedWriter counts the writes that reach the socket.
+type countedWriter struct {
+	w io.Writer
+	n *stats.Counter
+}
+
+func (c countedWriter) Write(p []byte) (int, error) {
+	c.n.Inc()
+	return c.w.Write(p)
+}
+
+// pending is one dispatched request awaiting its turn on the wire: a begun
+// backend request answered on req.done, or (req nil) a response fixed at
+// dispatch — an unknown opcode or an enqueue failure.
+type pending struct {
+	req  *request
+	op   byte
+	resp wire.Response
+}
+
+// handle serves one connection. Syscalls are paid per burst, not per
+// request: the reader dispatches every complete frame its last read(2)
+// buffered and hands the writer the whole batch at once, and the writer
+// frames every resolved response into its buffer and flushes only when it
+// runs out of work or is about to wait on an unresolved one — so a ready
+// response never waits behind a later one, and no timer is involved.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -120,39 +168,30 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	fd := s.backend.frontDoor()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 
 	// Responses must leave in request order, but a response is not ready
 	// until its group commit — so the reader enqueues each request on the
 	// engine immediately (one goroutine, so the engine applies them in wire
-	// order) and pushes its wait function onto pending; the writer drains
-	// pending in order. Between the two, a connection's pipelined writes
-	// fill batches instead of paying one commit each.
-	pending := make(chan func() wire.Response, maxInflight)
+	// order) and the writer answers batches in order. Between the two, a
+	// connection's pipelined writes fill group commits instead of paying one
+	// commit each. slots holds one token per outstanding request; every
+	// batch carries at least one, so batches never holds more than
+	// maxInflight and the reader's sends to it never block.
+	batches := make(chan []pending, maxInflight)
+	slots := make(chan struct{}, maxInflight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		broken := false
-		for wait := range pending {
-			resp := wait() // must consume even after a write error
-			if broken {
-				continue
-			}
-			if s.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-			}
-			err := wire.WriteResponse(bw, resp)
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				s.logf("paxserve: %s: write: %v", conn.RemoteAddr(), err)
-				broken = true
-				conn.Close() // unblock the reader
-			}
-		}
+		s.writeResponses(conn, fd, batches, slots)
 	}()
+	var batch []pending
+	handOff := func() {
+		batches <- batch
+		batch = nil
+		fd.dispatchBatches.Inc()
+	}
 	for {
 		req, err := wire.ReadRequest(br)
 		if err != nil {
@@ -161,19 +200,99 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			break
 		}
-		pending <- s.beginDispatch(req)
+		select {
+		case slots <- struct{}{}:
+		default:
+			// At the bound: the writer must answer what is dispatched
+			// before a slot frees, so hand it over first.
+			if len(batch) > 0 {
+				handOff()
+			}
+			slots <- struct{}{}
+		}
+		batch = append(batch, s.dispatch(req))
+		if !wire.FrameReady(br) {
+			// The next read may block on the socket: what is dispatched
+			// must not wait for it.
+			handOff()
+		}
 	}
-	close(pending)
+	if len(batch) > 0 {
+		handOff()
+	}
+	close(batches)
 	<-writerDone
 }
 
-// beginDispatch starts req on the engine and returns a function that blocks
-// for its result and renders the wire response. Enqueue failures (closed,
+// writeResponses is a connection's writer: it answers batches in order,
+// releasing one slot per response. After a write error it keeps consuming —
+// every begun request still owes exactly one result — but writes nothing.
+func (s *Server) writeResponses(conn net.Conn, fd *frontDoorStats, batches <-chan []pending, slots <-chan struct{}) {
+	bw := bufio.NewWriter(countedWriter{conn, &fd.flushes})
+	broken := false
+	fail := func(err error) {
+		s.logf("paxserve: %s: write: %v", conn.RemoteAddr(), err)
+		broken = true
+		conn.Close() // unblock the reader
+	}
+	flush := func() {
+		if broken || bw.Buffered() == 0 {
+			return
+		}
+		if err := bw.Flush(); err != nil {
+			fail(err)
+		}
+	}
+	for {
+		var batch []pending
+		var ok bool
+		select {
+		case batch, ok = <-batches:
+		default:
+			flush() // nothing more to answer yet: send what is resolved
+			batch, ok = <-batches
+		}
+		if !ok {
+			flush()
+			return
+		}
+		for _, p := range batch {
+			resp := p.resp
+			if p.req != nil {
+				var res result
+				select {
+				case res = <-p.req.done:
+				default:
+					flush() // about to wait on a commit: send what is resolved
+					res = <-p.req.done
+				}
+				p.req.release()
+				resp = renderResponse(p.op, res)
+			}
+			<-slots
+			if broken {
+				continue
+			}
+			if s.WriteTimeout > 0 && bw.Buffered() == 0 {
+				// One deadline per burst: nothing blocks between here and
+				// the flush that ends it but the socket itself.
+				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+			}
+			if err := wire.WriteResponse(bw, resp); err != nil {
+				fail(err)
+				continue
+			}
+			fd.responses.Inc()
+		}
+	}
+}
+
+// dispatch starts req on the backend. Enqueue failures (closed,
 // backpressure) resolve immediately, and so do GETs: the engine answers them
 // inline from the read index inside begin, so a pipelined GET's value is
 // fixed at dispatch time — it does not serialize behind the connection's
 // unacked PUTs (the response still leaves the wire in request order).
-func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
+func (s *Server) dispatch(req wire.Request) pending {
 	var op opKind
 	switch req.Op {
 	case wire.OpGet:
@@ -195,8 +314,7 @@ func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
 	case wire.OpEvents:
 		op = opEvents
 	default:
-		resp := wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}
-		return func() wire.Response { return resp }
+		return pending{resp: wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}}
 	}
 	ereq := newRequest(op, req.Key, req.Value)
 	if op == opSplit || op == opMerge {
@@ -218,15 +336,9 @@ func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
 	}
 	if err := s.backend.begin(ereq); err != nil {
 		ereq.release()
-		resp := errResponse(err)
-		return func() wire.Response { return resp }
+		return pending{resp: errResponse(err)}
 	}
-	wireOp := req.Op
-	return func() wire.Response {
-		res := <-ereq.done
-		ereq.release()
-		return renderResponse(wireOp, res)
-	}
+	return pending{req: ereq, op: req.Op}
 }
 
 func renderResponse(op byte, res result) wire.Response {

@@ -71,6 +71,7 @@ type ShardedEngine struct {
 	// or shrink they do); routing never takes it.
 	migrateMu sync.Mutex
 	reshard   reshardCounters
+	front     frontDoorStats // the TCP front door's, published with the router metrics
 
 	// autopilot is the policy loop when StartAutopilot is running (autopilot.go).
 	// When set, the per-slot load signal is its tracker's windowed rate, not
@@ -534,6 +535,8 @@ func (s *ShardedEngine) engineForSlot(slot int) *Engine {
 	return shards[m.Assign[slot]].eng
 }
 
+func (s *ShardedEngine) frontDoor() *frontDoorStats { return &s.front }
+
 // begin implements Backend: per-key operations route to the owning shard's
 // queue (FIFO per shard, so a connection's same-key operations keep their
 // wire order) under the slot's gate; persist and stats fan out across every
@@ -759,6 +762,9 @@ func (s *ShardedEngine) addRouterMetrics(m stats.Summary) {
 	m["paxserve_reshard_moved_keys"] = float64(s.reshard.movedKeys.Load())
 	m["paxserve_reshard_purged_keys"] = float64(s.reshard.purgedKeys.Load())
 	m["paxserve_reshard_cleanup_failures"] = float64(s.reshard.cleanupFailures.Load())
+	m["paxserve_wire_responses"] = float64(s.front.responses.Load())
+	m["paxserve_wire_flushes"] = float64(s.front.flushes.Load())
+	m["paxserve_wire_dispatch_batches"] = float64(s.front.dispatchBatches.Load())
 	if a := s.autopilot.Load(); a != nil {
 		a.publish(m)
 	}

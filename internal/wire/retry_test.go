@@ -14,12 +14,13 @@ import (
 // 0-based request index. It stops on the first transport error.
 func scriptServer(conn net.Conn, reply func(i int, req Request) Response) {
 	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	for i := 0; ; i++ {
 		req, err := ReadRequest(br)
 		if err != nil {
 			return
 		}
-		if err := WriteResponse(conn, reply(i, req)); err != nil {
+		if err := WriteResponse(bw, reply(i, req)); err != nil || bw.Flush() != nil {
 			return
 		}
 	}

@@ -53,6 +53,14 @@
 //     also observe applied-but-not-yet-durable data; after a crash the
 //     server rebuilds its index from recovered state, so a rolled-back
 //     value is never served.
+//
+// Framing on the byte stream is independent of message boundaries: one TCP
+// segment may carry several responses (the server writes every response
+// that is ready in one burst), and one response may span several segments.
+// The server never delays a ready response waiting for a later one: it
+// flushes before waiting on an unresolved response and whenever it has
+// nothing more to answer, so a pipelined GET is not held behind an unacked
+// durable PUT queued after it.
 package wire
 
 import (
@@ -172,6 +180,22 @@ func writeFrame(w io.Writer, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// FrameReady reports whether r already buffers a complete frame, so the
+// next ReadRequest or ReadResponse returns without reading from the
+// underlying connection. A buffered header announcing more than MaxFrame
+// also counts as ready: the next read fails on it without blocking.
+// FrameReady itself never reads from the underlying reader. A frame larger
+// than r's buffer is never ready; reading it may block.
+func FrameReady(r *bufio.Reader) bool {
+	buffered := r.Buffered()
+	if buffered < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4) // 4 bytes are buffered: Peek cannot fill or fail
+	n := binary.BigEndian.Uint32(hdr)
+	return n > MaxFrame || uint64(buffered) >= 4+uint64(n)
 }
 
 func readFrame(r *bufio.Reader) ([]byte, error) {
@@ -296,12 +320,23 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	return req, nil
 }
 
-// WriteResponse frames and writes one response.
-func WriteResponse(w io.Writer, resp Response) error {
-	payload := make([]byte, 0, 5+len(resp.Body))
-	payload = append(payload, resp.Status)
-	payload = appendBytes(payload, resp.Body)
-	return writeFrame(w, payload)
+// WriteResponse frames one response into w's buffer without assembling an
+// intermediate payload and without flushing: the caller decides when the
+// buffered responses go out, so one write can carry many of them.
+func WriteResponse(w *bufio.Writer, resp Response) error {
+	n := 5 + len(resp.Body)
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
+	}
+	hdr := w.AvailableBuffer()
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+	hdr = append(hdr, resp.Status)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(resp.Body)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(resp.Body)
+	return err
 }
 
 // ReadResponse reads and decodes one response frame.

@@ -47,10 +47,14 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusOK, Body: EpochBody(712)},
 	}
 	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
 	for _, r := range resps {
-		if err := WriteResponse(&buf, r); err != nil {
+		if err := WriteResponse(bw, r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	br := bufio.NewReader(&buf)
 	for _, want := range resps {
@@ -87,6 +91,7 @@ func TestReadRequestRejectsGarbage(t *testing.T) {
 func echoServer(t *testing.T, conn net.Conn) {
 	t.Helper()
 	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	for {
 		req, err := ReadRequest(br)
 		if err != nil {
@@ -103,7 +108,7 @@ func echoServer(t *testing.T, conn net.Conn) {
 		default:
 			resp = Response{Status: StatusError, Body: []byte("nope")}
 		}
-		if err := WriteResponse(conn, resp); err != nil {
+		if err := WriteResponse(bw, resp); err != nil || bw.Flush() != nil {
 			return
 		}
 	}
