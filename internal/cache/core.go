@@ -185,6 +185,7 @@ func (c *Core) Load(addr uint64, buf []byte) sim.Time {
 func (c *Core) Store(addr uint64, data []byte) sim.Time {
 	c.h.mu.Lock()
 	defer c.h.mu.Unlock()
+	c.h.stored = true
 	at := c.clock.Now()
 	off := 0
 	for off < len(data) {

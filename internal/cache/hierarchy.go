@@ -41,9 +41,15 @@ type Hierarchy struct {
 	prof  sim.HostProfile
 	cores []*Core
 
-	llcSets [][]llcLine
+	// llc holds the LLC's sets as consecutive runs of llcWays lines.
+	llc     []llcLine
+	llcWays int
 	llcMask uint64
 	llcUse  uint64
+
+	// stored is set by every core Store and cleared by MarkPersisted: true
+	// means the host may hold state its homes have not persisted.
+	stored bool
 
 	homes []homeRange
 
@@ -73,11 +79,9 @@ func NewHierarchy(prof sim.HostProfile) *Hierarchy {
 	}
 	h := &Hierarchy{
 		prof:    prof,
-		llcSets: make([][]llcLine, numSets),
+		llc:     make([]llcLine, lines),
+		llcWays: prof.LLC.Ways,
 		llcMask: uint64(numSets - 1),
-	}
-	for i := range h.llcSets {
-		h.llcSets[i] = make([]llcLine, prof.LLC.Ways)
 	}
 	for id := 0; id < prof.Cores; id++ {
 		h.cores = append(h.cores, &Core{
@@ -120,8 +124,14 @@ func (h *Hierarchy) home(addr uint64) coherence.Home {
 	panic(fmt.Sprintf("cache: address %#x is not mapped to any home", addr))
 }
 
+// llcSet returns the LLC set addr maps to.
+func (h *Hierarchy) llcSet(addr uint64) []llcLine {
+	i := int((addr/LineSize)&h.llcMask) * h.llcWays
+	return h.llc[i : i+h.llcWays : i+h.llcWays]
+}
+
 func (h *Hierarchy) llcLookup(addr uint64) *llcLine {
-	set := h.llcSets[(addr/LineSize)&h.llcMask]
+	set := h.llcSet(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == addr {
 			return &set[i]
@@ -136,7 +146,7 @@ func (h *Hierarchy) llcTouch(ll *llcLine) {
 }
 
 func (h *Hierarchy) llcVictim(addr uint64) *llcLine {
-	set := h.llcSets[(addr/LineSize)&h.llcMask]
+	set := h.llcSet(addr)
 	var lru *llcLine
 	for i := range set {
 		if !set[i].valid {
@@ -395,22 +405,37 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) FlushAll(at sim.Time) sim.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for s := range h.llcSets {
-		for w := range h.llcSets[s] {
-			ll := &h.llcSets[s][w]
-			if !ll.valid {
-				continue
-			}
-			if ll.owner >= 0 {
-				at = h.recallOwner(ll, false, at)
-			}
-			if ll.dirty {
-				h.WriteBacks.Inc()
-				at = h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
-				ll.dirty = false
-			}
-			ll.hostExcl = false
+	for i := range h.llc {
+		ll := &h.llc[i]
+		if !ll.valid {
+			continue
 		}
+		if ll.owner >= 0 {
+			at = h.recallOwner(ll, false, at)
+		}
+		if ll.dirty {
+			h.WriteBacks.Inc()
+			at = h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
+			ll.dirty = false
+		}
+		ll.hostExcl = false
 	}
 	return at
+}
+
+// StoredSincePersist reports whether any core has stored since the last
+// MarkPersisted (or since the hierarchy was built). False means every value
+// the host holds is also what its homes last persisted.
+func (h *Hierarchy) StoredSincePersist() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.stored
+}
+
+// MarkPersisted clears the store flag; the pool calls it once a persist
+// has made every store so far durable.
+func (h *Hierarchy) MarkPersisted() {
+	h.mu.Lock()
+	h.stored = false
+	h.mu.Unlock()
 }

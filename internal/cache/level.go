@@ -30,10 +30,13 @@ type line struct {
 	lastUse uint64
 }
 
-// level is one set-associative private cache level (L1 or L2).
+// level is one set-associative private cache level (L1 or L2). Its sets
+// are consecutive runs of ways in one flat line array: one allocation per
+// level instead of one per set.
 type level struct {
 	name    string
-	sets    [][]line
+	lines   []line
+	ways    int
 	setMask uint64
 	latency sim.Time
 	useCtr  uint64
@@ -51,20 +54,18 @@ func newLevel(name string, geom sim.CacheGeometry) *level {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %s set count %d is not a power of two", name, numSets))
 	}
-	sets := make([][]line, numSets)
-	for i := range sets {
-		sets[i] = make([]line, geom.Ways)
-	}
 	return &level{
 		name:    name,
-		sets:    sets,
+		lines:   make([]line, lines),
+		ways:    geom.Ways,
 		setMask: uint64(numSets - 1),
 		latency: geom.Latency,
 	}
 }
 
 func (l *level) set(addr uint64) []line {
-	return l.sets[(addr/LineSize)&l.setMask]
+	i := int((addr/LineSize)&l.setMask) * l.ways
+	return l.lines[i : i+l.ways : i+l.ways]
 }
 
 // lookup returns the line holding addr, or nil.
@@ -124,11 +125,9 @@ func (l *level) invalidate(addr uint64) (data [LineSize]byte, dirty, present boo
 
 // forEachValid calls fn for every valid line in the level.
 func (l *level) forEachValid(fn func(*line)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].valid {
-				fn(&l.sets[s][w])
-			}
+	for i := range l.lines {
+		if l.lines[i].valid {
+			fn(&l.lines[i])
 		}
 	}
 }

@@ -162,15 +162,10 @@ func Create(pm *pmem.Device, opts Options) (*Pool, error) {
 	binary.LittleEndian.PutUint32(hdr[offHeaderCRC:], crc32.Checksum(hdr[:headerCRCSpan], crcTable))
 	pm.Write(0, hdr[:], 0)
 
-	// Zero the data region so a reused device starts clean.
-	zero := make([]byte, 64<<10)
-	for off := dataOff; off < dataOff+opts.DataSize; off += uint64(len(zero)) {
-		n := uint64(len(zero))
-		if dataOff+opts.DataSize-off < n {
-			n = dataOff + opts.DataSize - off
-		}
-		pm.Write(off, zero[:n], 0)
-	}
+	// Zero the data region so a reused device starts clean. Chunks already
+	// zero are skipped, so a fresh pool's first commit carries no 64 MiB
+	// zero delta.
+	pm.Zero(dataOff, int(opts.DataSize), 0)
 
 	log := undolog.Create(pm, logOff, opts.LogSize)
 
@@ -305,6 +300,18 @@ func (p *Pool) Device() *device.Device { return p.dev }
 // PM exposes the underlying media device.
 func (p *Pool) PM() *pmem.Device { return p.pm }
 
+// Unpersisted reports whether any store has happened since the last
+// successful persist (for an opened pool: since Open). While it is false the
+// media image is the pool's logical state, so it can be read directly.
+func (p *Pool) Unpersisted() bool { return p.hier.StoredSincePersist() }
+
+// MediaMem returns a read-only, untimed view of the data region as the media
+// holds it, bypassing the host hierarchy and the device. It reads the
+// logical state only while Unpersisted is false.
+func (p *Pool) MediaMem() memory.Memory {
+	return vpm.New(p.pm.View(), p.dataOff, p.dataSize)
+}
+
 // DataBase reports the vPM base address; DataSize its length.
 func (p *Pool) DataBase() uint64 { return p.dataOff }
 
@@ -368,6 +375,7 @@ func (p *Pool) Persist() (device.PersistReport, error) {
 	}
 	p.timings.SyncNS.Since(syncStart)
 	p.timings.SyncBytes.Observe(p.pm.LastSyncBytes())
+	p.hier.MarkPersisted()
 	return rep, nil
 }
 
@@ -390,6 +398,7 @@ func (p *Pool) PersistPipelined() (device.PersistReport, error) {
 	}
 	p.timings.SyncNS.Since(syncStart)
 	p.timings.SyncBytes.Observe(p.pm.LastSyncBytes())
+	p.hier.MarkPersisted()
 	return rep, nil
 }
 

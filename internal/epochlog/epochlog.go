@@ -36,6 +36,7 @@
 package epochlog
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -305,7 +306,7 @@ func (s *Store) markDropped() {
 // scanSegment walks one segment file, validating records. A torn record is
 // legal only when tailOK (the newest segment); anywhere else it is
 // corruption. When fn is non-nil it receives each committed record; range
-// data aliases a per-record buffer the callee must not retain.
+// data aliases a per-scan buffer the callee must not retain.
 func scanSegment(path string, tailOK bool, fn func(Record) error) (SegmentInfo, error) {
 	info := SegmentInfo{Name: filepath.Base(path)}
 	if _, err := fmt.Sscanf(info.Name, "seg-%d.seg", &info.Index); err != nil {
@@ -316,9 +317,23 @@ func scanSegment(path string, tailOK bool, fn func(Record) error) (SegmentInfo, 
 		return info, fmt.Errorf("epochlog: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return info, fmt.Errorf("epochlog: %w", err)
+	}
+	return scanRecords(f, fi.Size(), info, tailOK, fn)
+}
 
+// scanBufferBytes sizes the buffered reader a scan decodes through: records
+// are read with a few large reads instead of two read syscalls apiece.
+const scanBufferBytes = 256 << 10
+
+// scanRecords decodes a segment of size bytes from r into info (see
+// scanSegment).
+func scanRecords(r io.Reader, size int64, info SegmentInfo, tailOK bool, fn func(Record) error) (SegmentInfo, error) {
+	br := bufio.NewReaderSize(r, int(min(size, scanBufferBytes)))
 	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return info, fmt.Errorf("epochlog: %s: short header: %w", info.Name, err)
 	}
 	if got := binary.LittleEndian.Uint64(hdr[0:]); got != segMagic {
@@ -331,17 +346,17 @@ func scanSegment(path string, tailOK bool, fn func(Record) error) (SegmentInfo, 
 	info.LastSeq = info.FirstSeq - 1
 	info.Bytes = segHeaderSize
 
-	r := &countingReader{r: f, n: segHeaderSize}
+	rr := &recordReader{r: br, n: segHeaderSize, size: size}
 	expect := info.FirstSeq
 	for {
-		rec, ok, err := readRecord(r, expect)
+		rec, ok, err := rr.next(expect)
 		if err != nil {
 			return info, fmt.Errorf("epochlog: %s: %w", info.Name, err)
 		}
 		if !ok {
 			// Torn or absent: if any bytes follow the last committed record,
 			// that is a torn tail.
-			if r.sawAny {
+			if rr.sawAny {
 				info.TornTail = true
 				if !tailOK {
 					return info, fmt.Errorf("epochlog: %s: torn record inside a sealed segment (corruption, not a crash tail)", info.Name)
@@ -359,36 +374,45 @@ func scanSegment(path string, tailOK bool, fn func(Record) error) (SegmentInfo, 
 		}
 		info.Records++
 		info.LastSeq, info.LastEpoch = rec.Seq, rec.Epoch
-		info.Bytes = r.n
+		info.Bytes = rr.n
 		expect = rec.Seq + 1
 	}
 }
 
-// countingReader tracks how many bytes of the segment have been consumed and
-// whether the current record read saw any bytes at all.
-type countingReader struct {
+// recordReader decodes consecutive records from one segment. It tracks how
+// many bytes of the segment have been consumed and whether the current
+// record read saw any bytes at all, and it reuses one body buffer and one
+// range slice across records, so a scan allocates O(largest record), not
+// O(segment).
+type recordReader struct {
 	r      io.Reader
-	n      int64
+	n      int64 // bytes consumed, segment header included
+	size   int64 // segment length: no record extends past it
 	sawAny bool
+
+	body   []byte
+	ranges []Range
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
+func (c *recordReader) read(p []byte) bool {
+	n, err := io.ReadFull(c.r, p)
 	c.n += int64(n)
 	if n > 0 {
 		c.sawAny = true
 	}
-	return n, err
+	return err == nil
 }
 
-// readRecord decodes one record. ok=false with nil error means the record is
-// torn or the segment ended cleanly; the caller distinguishes the two by
-// whether any bytes were consumed. expect is the required sequence number —
-// a committed record with the wrong sequence is corruption, never a tail.
-func readRecord(r *countingReader, expect uint64) (Record, bool, error) {
-	r.sawAny = false
+// next decodes one record. ok=false with nil error means the record is torn
+// or the segment ended cleanly; the caller distinguishes the two by whether
+// any bytes were consumed. expect is the required sequence number — a
+// committed record with the wrong sequence is corruption, never a tail. The
+// record's ranges and their data alias the reader's buffers and stay valid
+// only until the next call.
+func (c *recordReader) next(expect uint64) (Record, bool, error) {
+	c.sawAny = false
 	var hdr [recHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if !c.read(hdr[:]) {
 		return Record{}, false, nil // clean EOF or torn header
 	}
 	if got := binary.LittleEndian.Uint32(hdr[0:]); got != recMagic {
@@ -401,8 +425,15 @@ func readRecord(r *countingReader, expect uint64) (Record, bool, error) {
 	if nranges > maxRanges || payload > 1<<40 {
 		return Record{}, false, nil // implausible header: torn bytes
 	}
-	body := make([]byte, int(nranges)*16+int(payload)+recTrailerSize)
-	if _, err := io.ReadFull(r, body); err != nil {
+	bodyLen := int64(nranges)*16 + int64(payload) + recTrailerSize
+	if bodyLen > c.size-c.n {
+		return Record{}, false, nil // runs past the segment's end: torn body
+	}
+	if int64(cap(c.body)) < bodyLen {
+		c.body = make([]byte, bodyLen)
+	}
+	body := c.body[:bodyLen]
+	if !c.read(body) {
 		return Record{}, false, nil // torn body
 	}
 	crcAt := len(body) - recTrailerSize
@@ -417,13 +448,16 @@ func readRecord(r *countingReader, expect uint64) (Record, bool, error) {
 	if seq != expect {
 		return Record{}, false, fmt.Errorf("record sequence %d, want %d", seq, expect)
 	}
-	rec := Record{Seq: seq, Epoch: epoch, Ranges: make([]Range, nranges)}
+	if cap(c.ranges) < int(nranges) {
+		c.ranges = make([]Range, nranges)
+	}
+	rec := Record{Seq: seq, Epoch: epoch, Ranges: c.ranges[:nranges]}
 	data := body[int(nranges)*16 : crcAt]
 	var off uint64
 	for i := range rec.Ranges {
 		addr := binary.LittleEndian.Uint64(body[i*16:])
 		n := binary.LittleEndian.Uint64(body[i*16+8:])
-		if off+n > uint64(len(data)) {
+		if n > uint64(len(data))-off {
 			return Record{}, false, fmt.Errorf("record %d ranges exceed payload", seq)
 		}
 		rec.Ranges[i] = Range{Addr: addr, Data: data[off : off+n]}
@@ -481,7 +515,8 @@ func (s *Store) Segments() []SegmentInfo {
 
 // Replay streams every committed record, in sequence order, to apply.
 // Dropped segments are skipped (a published checkpoint covers them). The
-// record's range data aliases a scratch buffer: apply must copy what it
+// record's ranges and their data alias buffers the scan reuses for the next
+// record: they stay valid until apply returns, and apply must copy what it
 // keeps.
 func (s *Store) Replay(apply func(Record) error) error {
 	s.mu.Lock()

@@ -277,6 +277,7 @@ func (d *Device) Close() error {
 // committed deltas onto the freshly loaded checkpoint image. Called from
 // Open after the checkpoint (pool file) is in memory.
 func (d *Device) openEpochLog() error {
+	replayStart := time.Now() // the validation scan is part of replay's cost
 	segBytes := d.cfg.EpochLogSegmentBytes
 	st, err := epochlog.Open(epochlog.Config{
 		Dir:          d.path + epochlog.DirSuffix,
@@ -314,6 +315,7 @@ func (d *Device) openEpochLog() error {
 		st.Close()
 		return err
 	}
+	d.OpenTimings.Replay = time.Since(replayStart)
 	d.store = st
 	d.replayInfo = st.Info()
 	return nil

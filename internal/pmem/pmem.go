@@ -15,8 +15,10 @@
 package pmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -206,6 +208,18 @@ type Device struct {
 
 	// SyncTimings are the media-commit stage latencies (see SyncTimings).
 	SyncTimings SyncTimings
+	// OpenTimings are the wall-clock durations of Open's stages; set once by
+	// Open and read-only afterwards.
+	OpenTimings OpenTimings
+}
+
+// OpenTimings are how long Open spent loading the pool file (the checkpoint,
+// in epoch-log mode) into media and replaying the epoch log's committed
+// delta records on top. Both are wall-clock; zero for a stage that did not
+// run (a fresh pool file has nothing to load, a full-image pool no log).
+type OpenTimings struct {
+	CheckpointLoad time.Duration
+	Replay         time.Duration
 }
 
 // SyncTimings are wall-clock nanosecond histograms of Sync's durability
@@ -265,17 +279,19 @@ func Open(path string, cfg Config) (*Device, error) {
 	if err := os.Remove(path + syncTempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
-	data, err := os.ReadFile(path)
+	loadStart := time.Now()
+	f, err := os.Open(path)
 	exists := true
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		exists = false // fresh pool file
 	case err != nil:
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
-	case len(data) != cfg.Size:
-		return nil, fmt.Errorf("pmem: %s holds %d bytes, config wants %d", path, len(data), cfg.Size)
 	default:
-		copy(d.media, data)
+		if err := d.loadImage(f); err != nil {
+			return nil, err
+		}
+		d.OpenTimings.CheckpointLoad = time.Since(loadStart)
 	}
 	if !cfg.EpochLog {
 		if has, herr := epochlog.HasSegments(path + epochlog.DirSuffix); herr != nil {
@@ -297,6 +313,30 @@ func Open(path string, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// loadImage reads the pool file straight into media and closes it: the
+// device holds one O(pool) buffer, with no staging copy. A file shorter or
+// longer than the configured size is refused, because silently resizing a
+// pool would corrupt its layout.
+func (d *Device) loadImage(f *os.File) error {
+	defer f.Close()
+	n, err := io.ReadFull(f, d.media)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("pmem: %s holds %d bytes, config wants %d", d.path, n, d.cfg.Size)
+	}
+	if err != nil {
+		return fmt.Errorf("pmem: open %s: %w", d.path, err)
+	}
+	var probe [1]byte
+	if m, _ := f.Read(probe[:]); m > 0 {
+		size := int64(-1)
+		if fi, err := f.Stat(); err == nil {
+			size = fi.Size()
+		}
+		return fmt.Errorf("pmem: %s holds %d bytes, config wants %d", d.path, size, d.cfg.Size)
+	}
+	return nil
 }
 
 // Size reports the media capacity in bytes.
@@ -344,6 +384,52 @@ func (d *Device) Write(addr uint64, data []byte, at sim.Time) sim.Time {
 		hook(addr, data)
 	}
 	return done + d.cfg.WriteLatency
+}
+
+// zeroChunk is the granule Zero checks and clears.
+var zeroChunk [64 << 10]byte
+
+// Zero clears [addr, addr+n) chunk by chunk, skipping the chunks the media
+// already holds as zero: formatting a fresh device writes (and, in epoch-log
+// mode, dirties) nothing, while a reused device is still cleared. It returns
+// the simulated completion time of the last write issued, or at if none was.
+func (d *Device) Zero(addr uint64, n int, at sim.Time) sim.Time {
+	d.checkRange(addr, n)
+	done := at
+	for end := addr + uint64(n); addr < end; {
+		c := min(uint64(len(zeroChunk)), end-addr)
+		d.mu.Lock()
+		clean := bytes.Equal(d.media[addr:addr+c], zeroChunk[:c])
+		d.mu.Unlock()
+		if !clean {
+			done = d.Write(addr, zeroChunk[:c], at)
+		}
+		addr += c
+	}
+	return done
+}
+
+// MediaView is a read-only memory.Memory over a device's media: loads copy
+// straight out of the media image, with no timing, bandwidth or counter
+// side effects, and stores panic. Recovery reads the recovered image
+// through it.
+type MediaView struct{ d *Device }
+
+// View returns a read-only view of the device's media.
+func (d *Device) View() MediaView { return MediaView{d} }
+
+// Load copies len(buf) bytes at addr into buf.
+func (v MediaView) Load(addr uint64, buf []byte) sim.Time {
+	v.d.checkRange(addr, len(buf))
+	v.d.mu.Lock()
+	copy(buf, v.d.media[addr:])
+	v.d.mu.Unlock()
+	return 0
+}
+
+// Store panics: the view is read-only.
+func (v MediaView) Store(addr uint64, data []byte) sim.Time {
+	panic(fmt.Sprintf("pmem: store of %d bytes at %#x through a read-only media view", len(data), addr))
 }
 
 // SetWriteHook installs fn to observe every media write, in order. The hook

@@ -412,14 +412,24 @@ type Engine struct {
 	// router owns the front door) export no idle copies.
 	front     frontDoorStats
 	frontOnce sync.Once
+
+	// openIndexNS is the wall-clock time New spent rebuilding the read index.
+	openIndexNS int64
 }
 
 // New builds an engine serving the map rooted at slot of pool and starts its
 // writer loop. The engine becomes the pool's only legal mutator: direct pool
-// use while the engine runs violates the single-writer model. The read index
-// is rebuilt here from the pool's recovered contents — recovery has already
-// rolled back any uncommitted epoch, so nothing rolled back can be indexed.
+// use while the engine runs violates the single-writer model.
+//
+// The pool must hold no unpersisted stores (pax.ErrUnpersisted otherwise):
+// the read index is rebuilt from the media image, which is the state as of
+// the last persist — after an open, the recovered state, with every
+// uncommitted epoch already rolled back — so nothing that was never
+// persisted can be indexed.
 func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
+	if pool.Unpersisted() {
+		return nil, fmt.Errorf("server: %w", pax.ErrUnpersisted)
+	}
 	kv, err := pax.NewMap(pool, slot)
 	if err != nil {
 		return nil, fmt.Errorf("server: binding map root: %w", err)
@@ -432,12 +442,21 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 		stop: make(chan struct{}),
 	}
 	e.rec = newFlightRecorder(e.cfg.TraceDepth, e.cfg.SlowDepth, e.cfg.SlowCommit)
-	kv.ForEach(func(key, value []byte) bool {
-		// ForEach hands out fresh copies, so the index can keep them.
-		s := e.idx.stripe(key)
-		s.m[string(key)] = value
-		return true
-	})
+	indexStart := time.Now()
+	// NewMap stores only when it creates the map, which is then empty;
+	// any other map is on media as of the last persist.
+	if kv.Len() > 0 {
+		err := kv.ForEachPersisted(func(key, value []byte) bool {
+			// The walk hands out fresh copies, so the index can keep them.
+			s := e.idx.stripe(key)
+			s.m[string(key)] = value
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("server: rebuilding read index: %w", err)
+		}
+	}
+	e.openIndexNS = time.Since(indexStart).Nanoseconds()
 	e.stats.ReadIndexRebuilt.Add(uint64(e.idx.len()))
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
 	e.sealedq = make(chan *sealedBatch, e.cfg.MaxInflightCommits)
@@ -478,6 +497,7 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 		}
 		return float64(e.stats.DeltaBytes.Sum()) / float64(n) / float64(e.pool.MediaSize())
 	})
+	e.reg.Register("paxserve_open_index_ns", func() float64 { return float64(e.openIndexNS) })
 	e.reg.Register("paxserve_sealed", func() float64 {
 		if e.SealErr() != nil {
 			return 1

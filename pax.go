@@ -305,6 +305,15 @@ func (p *Pool) Epoch() uint64 { return p.inner.Epoch() }
 // + data region) — the denominator of the write-amplification metric.
 func (p *Pool) MediaSize() int { return p.pm.Size() }
 
+// ErrUnpersisted reports a pool holding stores no Persist has made durable
+// yet, where only the state as of the last Persist may be read.
+var ErrUnpersisted = errors.New("pax: pool has stores that were never persisted")
+
+// Unpersisted reports whether anything was stored since the last successful
+// Persist (for an opened pool: since the open, whose recovery already rolled
+// back every unpersisted epoch). O(1); it takes the host-hierarchy lock.
+func (p *Pool) Unpersisted() bool { return p.inner.Unpersisted() }
+
 // EpochLogEnabled reports whether this pool persists through the delta
 // epoch store.
 func (p *Pool) EpochLogEnabled() bool { return p.pm.Config().EpochLog }
@@ -457,6 +466,11 @@ func (p *Pool) StatsRegistry() *stats.Registry {
 	r.Register("pax_epoch_checkpoints_total", func() float64 { return float64(p.pm.Checkpoints.Load()) })
 	r.Register("pax_epoch_checkpoint_bytes_total", func() float64 { return float64(p.pm.CheckpointBytes.Load()) })
 	r.Register("pax_epoch_checkpoint_failures_total", func() float64 { return float64(p.pm.CheckpointFailures.Load()) })
+	// Open-stage wall-clock durations, fixed once the pool is open: loading
+	// the pool file (the checkpoint) and replaying the epoch log onto it.
+	ot := p.pm.OpenTimings
+	r.Register("pax_open_checkpoint_ns", func() float64 { return float64(ot.CheckpointLoad.Nanoseconds()) })
+	r.Register("pax_open_replay_ns", func() float64 { return float64(ot.Replay.Nanoseconds()) })
 	r.Register("pax_epoch_log_live_bytes", func() float64 {
 		if el := p.pm.EpochLog(); el != nil {
 			return float64(el.LiveBytes())

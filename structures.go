@@ -59,6 +59,20 @@ func (m *Map) Len() uint64 { return m.hm.Len() }
 // ForEach visits every entry until fn returns false.
 func (m *Map) ForEach(fn func(key, value []byte) bool) { m.hm.ForEach(fn) }
 
+// ForEachPersisted visits every entry as of the pool's last Persist, reading
+// the media image directly instead of through the simulated host caches and
+// device: no simulated time passes and no cache state changes. Right after
+// OpenPool that is the recovered state. It returns ErrUnpersisted, visiting
+// nothing, if the pool holds stores no Persist has made durable. Keys and
+// values are fresh copies the callback may keep.
+func (m *Map) ForEachPersisted(fn func(key, value []byte) bool) error {
+	if m.pool.Unpersisted() {
+		return ErrUnpersisted
+	}
+	m.hm.WithMem(m.pool.inner.MediaMem()).ForEach(fn)
+	return nil
+}
+
 // SortedMap is a persistent ordered map (skip list).
 type SortedMap struct {
 	sl   *structures.SkipList
