@@ -9,7 +9,6 @@
 //	paxbench -loadgen -clients 64 -ops 200 # serving-layer load generator
 //	paxbench -loadgen -shards 1,2,4,8 -format json -out BENCH_loadgen.json
 //	paxbench -loadgen -read-ratio 0.9      # GET-heavy mix on the read index
-//	paxbench -loadgen -read-ratio 0.9 -queued-reads # same mix, pre-index path
 //	paxbench -loadgen -ack-policy both -inflight 1,2,4 # ack policy x pipeline window
 //
 // Scales: "paper" uses a hash table far larger than the simulated LLC and
@@ -23,10 +22,8 @@
 // one commit in flight at a time and the sweep measures how sharding
 // overlaps that latency. -read-ratio mixes GETs into the workload (0.9 models
 // a read-heavy serving tier); GETs are served from the engine's volatile read
-// index unless -queued-reads routes them through the writer queue, which is
-// the pre-index behavior kept as the read-path A/B baseline. -ack-policy
-// selects how writes are acked — "durable" (ack when the group commit
-// reaches media), "apply" (ack when applied and read-index-visible), or
+// index. -ack-policy selects how writes are acked — "durable" (ack when the
+// group commit reaches media), "apply" (ack when applied and read-index-visible), or
 // "both" to A/B them — and -inflight sweeps the commit-pipeline window
 // (sealed epochs in flight per shard; 1 is the serial baseline). The default
 // table output
@@ -64,7 +61,6 @@ func main() {
 		commitLat  = flag.Duration("commit-latency", 2*time.Millisecond, "loadgen: modeled media latency per group commit (0 = simulator speed)")
 		shards     = flag.String("shards", "1", "loadgen: comma-separated shard counts to sweep (e.g. 1,2,4,8)")
 		readRatio  = flag.Float64("read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")
-		queued     = flag.Bool("queued-reads", false, "loadgen: serve GETs through the writer queue (pre-read-index behavior, the read-path A/B baseline)")
 		poolDir    = flag.String("pool-dir", "", "loadgen: back the engines with pool files in this directory instead of in-memory devices (required for write-amplification sweeps)")
 		dataSizes  = flag.String("data-sizes", "", "loadgen: comma-separated per-shard vPM data sizes in bytes to sweep (e.g. 67108864,134217728; empty = the 32 MiB default)")
 		epochLog   = flag.Bool("epoch-log", false, "loadgen: persist commits through the log-structured delta epoch store instead of full-image republish")
@@ -73,10 +69,10 @@ func main() {
 		inflight   = flag.String("inflight", "0", "loadgen: comma-separated commit-pipeline windows to sweep (1 = serial baseline, 0 = engine default)")
 		jsonOut    = flag.String("out", "", "loadgen: also write the JSON records to this file")
 		keys       = flag.Uint64("keys", 0, "loadgen: shared keyspace size; > 0 switches clients from private keys to a preloaded shared keyspace (required for -dist/-rmw-ratio/-value-dist/-split)")
-		dist       = flag.String("dist", "uniform", "loadgen: shared-keyspace key distribution: uniform | zipf")
+		dist       = flag.String("dist", "", "loadgen: shared-keyspace key distribution: uniform | zipf (empty = uniform, or zipf for -split/-autopilot)")
 		zipfS      = flag.Float64("zipf-s", 0, "loadgen: zipf skew exponent s (> 1; 0 = the 1.2 default)")
 		rmwRatio   = flag.Float64("rmw-ratio", 0, "loadgen: fraction of ops issued as read-modify-writes (GET then PUT of the same key)")
-		valueDist  = flag.String("value-dist", "fixed", "loadgen: value size distribution: fixed | uniform (1..value bytes)")
+		valueDist  = flag.String("value-dist", "", "loadgen: value size distribution: fixed | uniform (1..value bytes); empty = fixed")
 		seed       = flag.Int64("seed", 1, "loadgen: base RNG seed for shared-keyspace sampling")
 		split      = flag.Bool("split", false, "loadgen: run the live-split A/B instead of the shard sweep: measure, split the hottest shard, measure again, then crash and verify no acked write was lost (needs -keys; uses the first -shards count, min 2)")
 		autopilot  = flag.Bool("autopilot", false, "loadgen: run the reshard-autopilot A/B instead of the shard sweep: measure, flood until the policy splits on its own, measure again, idle until it merges back, then crash and verify (uses the first -shards count, min 2)")
@@ -94,7 +90,6 @@ func main() {
 			maxDelay:   *maxDelay,
 			commitLat:  *commitLat,
 			readRatio:  *readRatio,
-			queued:     *queued,
 			poolDir:    *poolDir,
 			dataSizes:  *dataSizes,
 			epochLog:   *epochLog,
@@ -180,7 +175,6 @@ type loadgenConfig struct {
 	maxDelay   time.Duration
 	commitLat  time.Duration
 	readRatio  float64
-	queued     bool
 	poolDir    string
 	dataSizes  string
 	epochLog   bool
@@ -202,9 +196,8 @@ type loadgenConfig struct {
 }
 
 // runLoadgen sweeps persist mode × data size × shard count and reports each
-// run, as a table plus metrics registry or as JSON records. With -split it
-// instead runs the live-split A/B (pre-split phase, hot-shard split,
-// post-split phase, crash + reopen verification).
+// run, as a table plus metrics registry or as JSON records. With -split or
+// -autopilot it instead runs that reshard A/B (see runReshard).
 func runLoadgen(cfg loadgenConfig) error {
 	var counts []int
 	for _, f := range strings.Split(cfg.shardList, ",") {
@@ -214,11 +207,8 @@ func runLoadgen(cfg loadgenConfig) error {
 		}
 		counts = append(counts, n)
 	}
-	if cfg.split {
-		return runSplit(cfg, counts[0])
-	}
-	if cfg.autopilot {
-		return runAutopilot(cfg, counts[0])
+	if cfg.split || cfg.autopilot {
+		return runReshard(cfg, counts[0])
 	}
 	sizes := []uint64{0} // 0 = RunLoad's 32 MiB default
 	if cfg.dataSizes != "" {
@@ -268,7 +258,6 @@ func runLoadgen(cfg loadgenConfig) error {
 							OpsPerClient:       cfg.ops,
 							ValueBytes:         64,
 							ReadRatio:          cfg.readRatio,
-							QueuedReads:        cfg.queued,
 							MaxBatch:           cfg.maxBatch,
 							MaxDelay:           cfg.maxDelay,
 							Shards:             n,
@@ -303,18 +292,7 @@ func runLoadgen(cfg loadgenConfig) error {
 		}
 	}
 
-	blob, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if cfg.jsonOut != "" {
-		if err := os.WriteFile(cfg.jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-	}
-	if cfg.format == "json" {
-		_, err := os.Stdout.Write(blob)
+	if done, err := emitJSON(cfg, records); done || err != nil {
 		return err
 	}
 
@@ -357,161 +335,108 @@ func perShardTable(res benchkit.LoadResult) *stats.Table {
 	return t
 }
 
-// runSplit drives the live-split A/B: a zipfian-skewed shared keyspace on a
-// file-backed sharded engine, split the hottest shard mid-run, and prove
-// via crash + reopen that no acked write was lost.
-func runSplit(cfg loadgenConfig, shards int) error {
+// emitJSON writes the run's records to -out, if set, and to stdout under
+// -format json; done reports that stdout got the JSON and no table follows.
+func emitJSON(cfg loadgenConfig, records []benchkit.LoadJSON) (done bool, err error) {
+	blob, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		return false, err
+	}
+	blob = append(blob, '\n')
+	if cfg.jsonOut != "" {
+		if err := os.WriteFile(cfg.jsonOut, blob, 0o644); err != nil {
+			return false, err
+		}
+	}
+	if cfg.format != "json" {
+		return false, nil
+	}
+	_, err = os.Stdout.Write(blob)
+	return true, err
+}
+
+// runReshard drives a reshard A/B on a zipfian-skewed shared keyspace over
+// a file-backed sharded engine: -split splits the hottest shard between two
+// measured phases; -autopilot leaves the split, and the idle merge-back
+// after it, to the reshard policy. Both end with a crash + reopen that
+// verifies no acked write was lost.
+func runReshard(cfg loadgenConfig, shards int) error {
 	if shards < 2 {
 		shards = 2
 	}
 	dir := cfg.poolDir
 	if dir == "" {
 		var err error
-		dir, err = os.MkdirTemp("", "paxbench-split-*")
+		dir, err = os.MkdirTemp("", "paxbench-reshard-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-	}
-	keys := cfg.keys
-	if keys == 0 {
-		keys = 10_000
-	}
-	dist := cfg.dist
-	if dist == "uniform" {
-		dist = "zipf" // the A/B is about skew; an explicit -dist zipf is the expected call
 	}
 	spec := benchkit.LoadSpec{
 		Clients:       cfg.clients,
 		OpsPerClient:  cfg.ops,
 		ValueBytes:    64,
 		ReadRatio:     cfg.readRatio,
-		QueuedReads:   cfg.queued,
 		MaxBatch:      cfg.maxBatch,
 		MaxDelay:      cfg.maxDelay,
 		Shards:        shards,
 		CommitLatency: cfg.commitLat,
 		PoolDir:       dir,
 		EpochLog:      cfg.epochLog,
-		Keys:          keys,
-		Dist:          dist,
+		Keys:          cfg.keys,
+		Dist:          cfg.dist,
 		ZipfS:         cfg.zipfS,
 		RMWRatio:      cfg.rmwRatio,
 		ValueDist:     cfg.valueDist,
 		Seed:          cfg.seed,
 	}
-	res, err := benchkit.RunSplitLoad(spec)
-	if err != nil {
-		return err
+	if spec.Keys == 0 {
+		spec.Keys = 10_000
 	}
-	records := res.JSON()
-	blob, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
+	if spec.Dist == "" {
+		spec.Dist = "zipf" // the A/B is about skew
 	}
-	blob = append(blob, '\n')
-	if cfg.jsonOut != "" {
-		if err := os.WriteFile(cfg.jsonOut, blob, 0o644); err != nil {
-			return err
+	var (
+		pre, post benchkit.LoadResult
+		records   []benchkit.LoadJSON
+		summary   string
+	)
+	if cfg.autopilot {
+		if spec.ZipfS == 0 {
+			spec.ZipfS = 1.5 // skewed enough that the hot shard's pipeline genuinely saturates
 		}
-	}
-	if cfg.format == "json" {
-		_, err := os.Stdout.Write(blob)
-		return err
-	}
-	t := stats.NewTable("live split A/B", "phase", "shards", "writes/s", "ops/s", "imbalance", "hot shard", "ack p99 ms", "moved slots", "moved keys", "crash ok", "lost keys")
-	t.AddRowf("pre-split", res.Pre.Spec.Shards, res.Pre.Throughput, res.Pre.OpsThroughput, res.Pre.ShardImbalance,
-		res.Pre.HotShard, float64(res.Pre.AckP99.Microseconds())/1e3, "-", "-", "-", "-")
-	t.AddRowf("post-split", res.Post.Spec.Shards, res.Post.Throughput, res.Post.OpsThroughput, res.Post.ShardImbalance,
-		res.Post.HotShard, float64(res.Post.AckP99.Microseconds())/1e3,
-		res.Split.MovedSlots, res.Split.MovedKeys, res.Split.CrashVerified, res.Split.LostKeys)
-	fmt.Println(t.String())
-	fmt.Println(perShardTable(res.Pre).String())
-	fmt.Println(perShardTable(res.Post).String())
-	fmt.Printf("split: shard %d -> %d (new shard: %v), %d/%d slots moved (%.1f%% of keyspace), %d keys, %.1f ms\n",
-		res.Split.Source, res.Split.Dest, res.Split.NewShard,
-		res.Split.MovedSlots, 256, res.Split.MovedFrac*100, res.Split.MovedKeys, res.Split.SplitMS)
-	return nil
-}
-
-// runAutopilot drives the policy-driven reshard A/B: nobody calls Split —
-// the autopilot must grow the fleet under the zipf flood and shrink it back
-// at idle, with a crash+reopen verification at the end.
-func runAutopilot(cfg loadgenConfig, shards int) error {
-	if shards < 2 {
-		shards = 2
-	}
-	dir := cfg.poolDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "paxbench-autopilot-*")
+		res, err := benchkit.RunAutopilotLoad(spec)
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(dir)
-	}
-	keys := cfg.keys
-	if keys == 0 {
-		keys = 10_000
-	}
-	dist := cfg.dist
-	if dist == "uniform" {
-		dist = "zipf" // the A/B is about skew; an explicit -dist zipf is the expected call
-	}
-	zipfS := cfg.zipfS
-	if zipfS == 0 {
-		zipfS = 1.5 // skewed enough that the hot shard's pipeline genuinely saturates
-	}
-	spec := benchkit.LoadSpec{
-		Clients:       cfg.clients,
-		OpsPerClient:  cfg.ops,
-		ValueBytes:    64,
-		ReadRatio:     cfg.readRatio,
-		QueuedReads:   cfg.queued,
-		MaxBatch:      cfg.maxBatch,
-		MaxDelay:      cfg.maxDelay,
-		Shards:        shards,
-		CommitLatency: cfg.commitLat,
-		PoolDir:       dir,
-		EpochLog:      cfg.epochLog,
-		Keys:          keys,
-		Dist:          dist,
-		ZipfS:         zipfS,
-		RMWRatio:      cfg.rmwRatio,
-		ValueDist:     cfg.valueDist,
-		Seed:          cfg.seed,
-	}
-	res, err := benchkit.RunAutopilotLoad(spec)
-	if err != nil {
-		return err
-	}
-	records := res.JSON()
-	blob, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if cfg.jsonOut != "" {
-		if err := os.WriteFile(cfg.jsonOut, blob, 0o644); err != nil {
+		pre, post, records = res.Pre, res.Post, res.JSON()
+		p := res.Pilot
+		summary = fmt.Sprintf("autopilot: %d -> %d -> %d shards (%d split(s) %.1f ms after the flood began: %s; %d merge(s) %.1f ms after idle: %s); crash verified: %v, lost keys: %d",
+			p.StartShards, p.PeakShards, p.EndShards, p.Splits, p.SplitWaitMS, p.SplitReason,
+			p.Merges, p.MergeWaitMS, p.MergeReason, p.CrashVerified, p.LostKeys)
+	} else {
+		res, err := benchkit.RunSplitLoad(spec)
+		if err != nil {
 			return err
 		}
+		pre, post, records = res.Pre, res.Post, res.JSON()
+		sp := res.Split
+		summary = fmt.Sprintf("split: shard %d -> %d (new shard: %v), %d/%d slots moved (%.1f%% of keyspace), %d keys, %.1f ms; crash verified: %v, lost keys: %d",
+			sp.Source, sp.Dest, sp.NewShard, sp.MovedSlots, 256, sp.MovedFrac*100, sp.MovedKeys, sp.SplitMS,
+			sp.CrashVerified, sp.LostKeys)
 	}
-	if cfg.format == "json" {
-		_, err := os.Stdout.Write(blob)
+	if done, err := emitJSON(cfg, records); done || err != nil {
 		return err
 	}
-	t := stats.NewTable("reshard autopilot A/B", "phase", "shards", "writes/s", "ops/s", "imbalance", "ack p99 ms", "policy wait ms")
-	t.AddRowf("pre-autosplit", res.Pre.Spec.Shards, res.Pre.Throughput, res.Pre.OpsThroughput, res.Pre.ShardImbalance,
-		float64(res.Pre.AckP99.Microseconds())/1e3, "-")
-	t.AddRowf("post-autosplit", res.Post.Spec.Shards, res.Post.Throughput, res.Post.OpsThroughput, res.Post.ShardImbalance,
-		float64(res.Post.AckP99.Microseconds())/1e3, res.Pilot.SplitWaitMS)
+	t := stats.NewTable("reshard A/B", "phase", "shards", "writes/s", "ops/s", "imbalance", "hot shard", "ack p99 ms")
+	for i, res := range []benchkit.LoadResult{pre, post} {
+		t.AddRowf(records[i].Phase, res.Spec.Shards, res.Throughput, res.OpsThroughput, res.ShardImbalance,
+			res.HotShard, float64(res.AckP99.Microseconds())/1e3)
+	}
 	fmt.Println(t.String())
-	fmt.Println(perShardTable(res.Pre).String())
-	fmt.Println(perShardTable(res.Post).String())
-	fmt.Printf("autopilot: %d -> %d -> %d shards (%d split(s): %s; %d merge(s) %.1f ms after idle: %s); crash verified: %v, lost keys: %d\n",
-		res.Pilot.StartShards, res.Pilot.PeakShards, res.Pilot.EndShards,
-		res.Pilot.Splits, res.Pilot.SplitReason,
-		res.Pilot.Merges, res.Pilot.MergeWaitMS, res.Pilot.MergeReason,
-		res.Pilot.CrashVerified, res.Pilot.LostKeys)
+	fmt.Println(perShardTable(pre).String())
+	fmt.Println(perShardTable(post).String())
+	fmt.Println(summary)
 	return nil
 }

@@ -60,8 +60,7 @@
 // GETs do not enter the writer queue: each shard keeps a volatile read
 // index (rebuilt from the recovered pool at startup) that the writer
 // updates at apply time, so reads are answered immediately even while a
-// group commit is in flight. -queued-reads restores the pre-index behavior
-// — every GET serialized through the writer loop — for A/B measurement.
+// group commit is in flight.
 //
 // The protocol is internal/wire's length-prefixed binary framing; the Go
 // client is pax/internal/wire.Client. SIGINT/SIGTERM shut down gracefully:
@@ -101,8 +100,6 @@ func main() {
 		commitLat = flag.Duration("commit-latency", 0, "modeled media latency per group commit (0 = simulator speed)")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
-		async     = flag.Bool("async", false, "commit batches with the pipelined persist (§6)")
-		queued    = flag.Bool("queued-reads", false, "serve GETs through the writer queue instead of the read index (pre-index behavior, for A/B measurement)")
 		slot      = flag.Int("root", 0, "pool root slot holding the served map")
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
 		retryDly  = flag.Duration("commit-retry-delay", 2*time.Millisecond, "wait before the first commit retry, doubling per attempt")
@@ -184,9 +181,7 @@ func main() {
 		MaxDelay:           *maxDelay,
 		QueueDepth:         *queue,
 		EnqueueTimeout:     *reqTmo,
-		Async:              *async,
 		CommitLatency:      *commitLat,
-		QueuedReads:        *queued,
 		CommitRetries:      *retries,
 		CommitRetryDelay:   *retryDly,
 		SlowCommit:         *slowCmt,

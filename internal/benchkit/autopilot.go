@@ -3,11 +3,9 @@ package benchkit
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"pax"
 	"pax/internal/server"
 	"pax/internal/stats"
 )
@@ -85,46 +83,23 @@ func (r AutopilotResult) JSON() []LoadJSON {
 // (the crash check), and multi-shard (Shards >= 2).
 func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	var out AutopilotResult
-	if spec.PoolDir == "" || spec.Keys == 0 || spec.Shards < 2 {
-		return out, fmt.Errorf("benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2, got %+v", spec)
+	if err := checkReshardSpec(spec, "autopilot"); err != nil {
+		return out, err
 	}
-	if spec.AckOnApply {
-		return out, fmt.Errorf("benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous")
+	// A shallow queue makes hot-shard saturation visible where the policy
+	// looks for it: durable writers pile into the enqueue path, so the hot
+	// shard's windowed enqueue-wait p99 rises well above the cold shards'.
+	h, err := openHarness(spec, 8)
+	if err != nil {
+		return out, err
 	}
+	defer h.close()
+	spec, eng := h.spec, h.eng
 	start := spec.Shards
-	opts := pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: spec.EpochLog, Overwrite: true}
-	if spec.DataSize > 0 {
-		opts.DataSize = spec.DataSize
-	}
-	path := filepath.Join(spec.PoolDir, "load.pool")
-	cfg := server.Config{
-		MaxBatch:           spec.MaxBatch,
-		MaxDelay:           spec.MaxDelay,
-		Async:              spec.Async,
-		CommitLatency:      spec.CommitLatency,
-		QueuedReads:        spec.QueuedReads,
-		MaxInflightCommits: spec.MaxInflightCommits,
-		// A shallow queue makes hot-shard saturation visible where the policy
-		// looks for it: durable writers pile into the enqueue path, so the hot
-		// shard's windowed enqueue-wait p99 rises well above the cold shards'.
-		QueueDepth: 8,
-	}
-	eng, err := server.OpenSharded(path, start, opts, 0, cfg)
-	if err != nil {
+	if err := h.preload(); err != nil {
 		return out, err
 	}
-	value := make([]byte, spec.ValueBytes)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	if err := preloadKeys(eng, spec, value); err != nil {
-		eng.Close()
-		return out, err
-	}
-
-	out.Pre, err = measurePhase(eng, spec, value, 0)
-	if err != nil {
-		eng.Close()
+	if out.Pre, err = h.measure(spec); err != nil {
 		return out, err
 	}
 
@@ -149,7 +124,6 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 		Cooldown:           time.Second,
 	})
 	if err != nil {
-		eng.Close()
 		return out, err
 	}
 	out.Pilot.StartShards = start
@@ -158,7 +132,6 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	// Unmeasured flood: the same skewed traffic, looping in bursts until the
 	// policy acts. Histograms sized for the grown fleet so a mid-burst split
 	// is safe.
-	policy := server.AckDurable
 	var (
 		floodLat   stats.LatencyHistogram
 		floodShard = make([]stats.LatencyHistogram, start+1)
@@ -179,7 +152,7 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 				burst := spec
 				burst.OpsPerClient = 200
 				burst.Seed = spec.Seed + int64(round)*31 + 17
-				runSharedClient(eng, burst, c, value, policy, &floodLat, floodShard, floodErrs)
+				runSharedClient(eng, burst, c, h.value, server.AckDurable, &floodLat, floodShard, floodErrs)
 			}
 		}(c)
 	}
@@ -202,7 +175,6 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	if !waitDecision("split") {
 		close(floodStop)
 		floodWG.Wait()
-		eng.Close()
 		return out, fmt.Errorf("benchkit: autopilot never split within %v (windows %+v)", actDeadline, ap.Windows())
 	}
 	out.Pilot.SplitWaitMS = float64(time.Since(splitStart).Microseconds()) / 1e3
@@ -212,21 +184,14 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	floodWG.Wait()
 	select {
 	case err := <-floodErrs:
-		eng.Close()
 		return out, fmt.Errorf("benchkit: autopilot flood: %w", err)
 	default:
 	}
 
-	// Measured post phase on the fleet the policy built. Reseeded like the
-	// manual-split A/B so the phase draws a fresh sample of the same
-	// distribution. The policy stays on but cannot act: the fleet is at
+	// Measured post phase on the fleet the policy built, reseeded like the
+	// manual-split A/B. The policy stays on but cannot act: the fleet is at
 	// MaxShards and the measured load keeps every shard above idle.
-	post := spec
-	post.Seed = spec.Seed + 7919
-	post.Shards = eng.NumShards()
-	out.Post, err = measurePhase(eng, post, value, 1)
-	if err != nil {
-		eng.Close()
+	if out.Post, err = h.measure(h.postSpec()); err != nil {
 		return out, err
 	}
 
@@ -234,13 +199,11 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	// shard back to the starting count on its own.
 	mergeStart := time.Now()
 	if !waitDecision("merge") {
-		eng.Close()
 		return out, fmt.Errorf("benchkit: autopilot never merged back within %v (windows %+v)", actDeadline, ap.Windows())
 	}
 	out.Pilot.MergeWaitMS = float64(time.Since(mergeStart).Microseconds()) / 1e3
 	out.Pilot.MergeReason = ap.LastDecision().Reason
 	if eng.NumShards() != start {
-		eng.Close()
 		return out, fmt.Errorf("benchkit: autopilot merged to %d shards, want the starting %d", eng.NumShards(), start)
 	}
 	if m, err := eng.Metrics(); err == nil {
@@ -250,29 +213,10 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 
 	// Crash and verify: the whole episode — split, measured load, merge —
 	// must not have lost a single acked write.
-	if err := eng.Crash(); err != nil {
-		return out, fmt.Errorf("benchkit: crash after autopilot run: %w", err)
+	if out.Pilot.EndShards, out.Pilot.LostKeys, err = h.crashAndVerify(); err != nil {
+		return out, err
 	}
-	n, err := server.DiscoverShards(path)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: rediscovering layout: %w", err)
-	}
-	out.Pilot.EndShards = n
-	reopenOpts := opts
-	reopenOpts.Overwrite = false
-	reng, err := server.OpenSharded(path, n, reopenOpts, 0, cfg)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: reopening after crash: %w", err)
-	}
-	defer reng.Close()
-	lost := 0
-	for i := uint64(0); i < spec.Keys; i++ {
-		if _, ok, err := reng.Get(sharedKey(i)); err != nil || !ok {
-			lost++
-		}
-	}
-	out.Pilot.LostKeys = lost
-	out.Pilot.CrashVerified = lost == 0
+	out.Pilot.CrashVerified = out.Pilot.LostKeys == 0
 	return out, nil
 }
 

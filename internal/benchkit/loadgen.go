@@ -4,17 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
-	"sync"
 	"time"
 
-	"pax"
 	"pax/internal/blackbox"
 	"pax/internal/pmem"
 	"pax/internal/server"
 	"pax/internal/stats"
-	"pax/internal/workload"
 )
 
 // This file is the serving-layer load generator: instead of driving a
@@ -44,14 +39,8 @@ type LoadSpec struct {
 	// interleave is deterministic — an error-diffusion pattern, not a PRNG —
 	// so runs are reproducible.
 	ReadRatio float64
-	// QueuedReads serves GETs through the writer queue (the engine's
-	// pre-read-index behavior) instead of the volatile read index — the
-	// "before" side of the read-path A/B.
-	QueuedReads bool
-	MaxBatch    int
-	MaxDelay    time.Duration
-	// Async uses PersistAsync (§6 pipelined) for the group commits.
-	Async bool
+	MaxBatch  int
+	MaxDelay  time.Duration
 	// Shards partitions the keyspace across N independent pools, each with
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
@@ -150,7 +139,7 @@ type LoadResult struct {
 	AckP50, AckP95, AckP99 time.Duration
 	// Metrics is the merged engine+pool metrics summary (per-shard gauges
 	// carry a {shard="K"} suffix; plain names are cross-shard sums),
-	// sampled safely after the engines close.
+	// sampled at the end of the measured phase.
 	Metrics stats.Summary
 	// PoolBytes is the per-shard media size; EpochLog echoes which persist
 	// mode the run used.
@@ -205,7 +194,6 @@ type LoadJSON struct {
 	MaxBatch        int     `json:"max_batch"`
 	CommitLatencyMS float64 `json:"commit_latency_ms"`
 	ReadRatio       float64 `json:"read_ratio"`
-	ReadPath        string  `json:"read_path"` // "index" | "queued"
 	// AckPolicy is "durable" (acks mean on-media) or "apply" (acks mean
 	// applied and read-index-visible, durability async);
 	// MaxInflightCommits is the commit-pipeline window the run used (1 =
@@ -271,10 +259,6 @@ func (r LoadResult) JSON() LoadJSON {
 	if shards <= 0 {
 		shards = 1
 	}
-	path := "index"
-	if r.Spec.QueuedReads {
-		path = "queued"
-	}
 	policy := "durable"
 	if r.Spec.AckOnApply {
 		policy = "apply"
@@ -309,7 +293,6 @@ func (r LoadResult) JSON() LoadJSON {
 		MaxBatch:           r.Spec.MaxBatch,
 		CommitLatencyMS:    float64(r.Spec.CommitLatency.Microseconds()) / 1e3,
 		ReadRatio:          r.Spec.ReadRatio,
-		ReadPath:           path,
 		AckPolicy:          policy,
 		MaxInflightCommits: inflight,
 		AckedWrites:        r.AckedWrites,
@@ -342,422 +325,81 @@ func (r LoadResult) JSON() LoadJSON {
 	}
 }
 
-// defaultZipfS is the zipfian exponent used when Dist is "zipf" and ZipfS is
-// unset — skewed enough that one shard's slots clearly dominate, mild enough
-// that every shard still sees traffic (the YCSB constant is 0.99 for its
-// scrambled variant; rand.Zipf's unscrambled form wants s > 1).
-const defaultZipfS = 1.2
-
-// sharedKey names key i of the shared keyspace.
-func sharedKey(i uint64) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
-
-// keySampler is what the shared-keyspace clients draw from (workload.Zipf or
-// workload.Uniform).
-type keySampler interface{ Next() uint64 }
-
 // RunLoad executes one loadgen run on fresh pools (one per shard) —
-// in-memory by default, file-backed under spec.PoolDir.
+// in-memory by default, file-backed under spec.PoolDir: open, preload the
+// shared keyspace (when Keys > 0), then one measured phase.
 func RunLoad(spec LoadSpec) (LoadResult, error) {
-	if spec.Clients <= 0 || spec.OpsPerClient <= 0 {
-		return LoadResult{}, fmt.Errorf("benchkit: loadgen needs clients and ops, got %+v", spec)
-	}
-	if spec.ReadRatio < 0 || spec.ReadRatio >= 1 {
-		return LoadResult{}, fmt.Errorf("benchkit: read ratio %v must be in [0, 1)", spec.ReadRatio)
-	}
-	if spec.ValueBytes <= 0 {
-		spec.ValueBytes = 64
-	}
-	if spec.Keys == 0 {
-		if spec.Dist != "" || spec.ZipfS != 0 || spec.RMWRatio != 0 || spec.ValueDist != "" {
-			return LoadResult{}, fmt.Errorf("benchkit: Dist/ZipfS/RMWRatio/ValueDist shape the shared keyspace; set Keys > 0")
-		}
-	} else {
-		switch spec.Dist {
-		case "", "uniform", "zipf":
-		default:
-			return LoadResult{}, fmt.Errorf("benchkit: key distribution %q (want uniform or zipf)", spec.Dist)
-		}
-		if spec.Dist == "zipf" && spec.ZipfS != 0 && spec.ZipfS <= 1 {
-			return LoadResult{}, fmt.Errorf("benchkit: zipf exponent %v must be > 1", spec.ZipfS)
-		}
-		if spec.RMWRatio < 0 || spec.RMWRatio > 1 {
-			return LoadResult{}, fmt.Errorf("benchkit: RMW ratio %v must be in [0, 1]", spec.RMWRatio)
-		}
-		switch spec.ValueDist {
-		case "", "fixed", "uniform":
-		default:
-			return LoadResult{}, fmt.Errorf("benchkit: value distribution %q (want fixed or uniform)", spec.ValueDist)
-		}
-	}
-	if spec.Blackbox && spec.PoolDir == "" {
-		return LoadResult{}, fmt.Errorf("benchkit: Blackbox journals to a directory; set PoolDir")
-	}
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	opts := pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: spec.EpochLog}
-	if spec.DataSize > 0 {
-		opts.DataSize = spec.DataSize
-	}
-	path := ""
-	if spec.PoolDir != "" {
-		path = filepath.Join(spec.PoolDir, "load.pool")
-		opts.Overwrite = true
-	}
-	eng, err := server.OpenSharded(path, shards, opts,
-		0, server.Config{
-			MaxBatch:           spec.MaxBatch,
-			MaxDelay:           spec.MaxDelay,
-			Async:              spec.Async,
-			CommitLatency:      spec.CommitLatency,
-			QueuedReads:        spec.QueuedReads,
-			MaxInflightCommits: spec.MaxInflightCommits,
-		})
+	h, err := openHarness(spec, 0)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	poolBytes := int64(eng.MediaSize())
-	epochLog := eng.EpochLogEnabled()
-
-	var bbJournal *blackbox.Journal
-	var bbStop func()
+	spec = h.spec
+	stopBlackbox := func() error { return nil }
 	if spec.Blackbox {
-		j, err := blackbox.Open(blackbox.Config{Dir: path + blackbox.DirSuffix})
-		if err != nil {
-			eng.Close()
-			return LoadResult{}, fmt.Errorf("benchkit: blackbox: %w", err)
-		}
-		iv := spec.BlackboxInterval
-		if iv <= 0 {
-			iv = 250 * time.Millisecond
-		}
-		bbJournal = j
-		bbStop = server.AttachBlackbox(eng, j, iv)
-	}
-
-	value := make([]byte, spec.ValueBytes)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	policy := server.AckDurable
-	if spec.AckOnApply {
-		policy = server.AckApply
-	}
-	// Shared keyspace: preload every key durable before the clock starts, so
-	// the measured phase reads always hit and the imbalance numbers reflect
-	// steady-state traffic, not fill. The preload's own acks and commits are
-	// sampled here and subtracted below, so the reported counters (and the
-	// per-shard imbalance) cover only measured traffic. The latency quantiles
-	// in the metrics registry still include the fill — histograms cannot be
-	// differenced — but the client-side ack histograms start at zero.
-	var preAgg server.AggregateStats
-	var preShard []uint64
-	if spec.Keys > 0 {
-		if err := preloadKeys(eng, spec, value); err != nil {
-			eng.Close()
-			if bbStop != nil {
-				bbStop()
-				bbJournal.Close()
-			}
+		if stopBlackbox, err = attachBlackbox(h.eng, h.path, spec.BlackboxInterval); err != nil {
+			h.close()
 			return LoadResult{}, err
 		}
-		preAgg = eng.AggregateStats()
-		preShard = eng.ShardAckedWrites()
 	}
-	chaos := spec.FailSyncsAfter > 0
-	if chaos {
-		// Injected after the preload so the fill always lands: shard 0's
-		// device starts refusing media syncs partway through the measured
-		// phase, its commit retries exhaust, and it seals fail-stop.
-		eng.ShardPools()[0].Internal().PM().SetFaultFn(
-			pmem.FailSyncsAfter(spec.FailSyncsAfter, ErrInjectedFault))
+	// The preload's own acks and commits are sampled out by the measured
+	// phase, so the reported counters (and the per-shard imbalance) cover
+	// only measured traffic.
+	if spec.Keys > 0 {
+		err = h.preload()
 	}
-	// shardAck splits the client-observed ack latency by the shard that
-	// served the write (routed via the engine's own ShardFor at issue time) —
-	// the hot shard's tail is the split experiment's before/after number.
-	shardAck := make([]stats.LatencyHistogram, shards)
-	start := time.Now()
-	var (
-		wg     sync.WaitGroup
-		ackLat stats.LatencyHistogram // shared; it is lock-free by design
-	)
-	errs := make(chan error, spec.Clients)
-	for c := 0; c < spec.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			if spec.Keys > 0 {
-				runSharedClient(eng, spec, c, value, policy, &ackLat, shardAck, errs)
-				return
-			}
-			var (
-				acc   float64                            // error-diffusion accumulator for the read/write mix
-				wrote int                                // keys this client has written so far
-				rng   = uint32(2654435761 * uint64(c+1)) // per-client LCG state
-			)
-			for op := 0; op < spec.OpsPerClient; op++ {
-				acc += spec.ReadRatio
-				if acc >= 1 && wrote > 0 {
-					acc--
-					// Read a previously written key (LCG pick, deterministic
-					// per client): hits the read path with realistic reuse.
-					rng = rng*1664525 + 1013904223
-					key := []byte(fmt.Sprintf("c%04d-%06d", c, int(rng)%wrote))
-					if _, ok, err := eng.Get(key); err != nil || !ok {
-						if chaos {
-							return
-						}
-						errs <- fmt.Errorf("client %d read %s: ok=%v err=%v", c, key, ok, err)
-						return
-					}
-					continue
-				}
-				key := []byte(fmt.Sprintf("c%04d-%06d", c, wrote))
-				wrote++
-				shard := eng.ShardFor(key)
-				t0 := time.Now()
-				if _, err := eng.PutPolicy(key, value, policy); err != nil {
-					if chaos {
-						// Expected once the injected fault seals the shard:
-						// this client's writes route there, so it stops.
-						return
-					}
-					errs <- fmt.Errorf("client %d op %d: %w", c, op, err)
-					return
-				}
-				d := time.Since(t0).Nanoseconds()
-				ackLat.Observe(d)
-				shardAck[shard].Observe(d)
-				if spec.ReadRatio == 0 && spec.GetEveryN > 0 && op%spec.GetEveryN == spec.GetEveryN-1 {
-					if _, ok, err := eng.Get(key); err != nil || !ok {
-						if chaos {
-							return
-						}
-						errs <- fmt.Errorf("client %d read-back %s: ok=%v err=%v", c, key, ok, err)
-						return
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if chaos {
-		// Simulated kill: no orderly close, no shutdown marker. Everything a
-		// postmortem needs is already on disk — the journal fsyncs each
-		// append — so the black box is read back exactly as a crash would
-		// leave it (the sampler stop below only adds the tail-window
-		// snapshot, which a periodic tick would have written anyway).
-		eng.Crash()
-	} else if err := eng.Close(); err != nil {
-		if bbStop != nil {
-			bbStop()
-			bbJournal.Close()
+	var res LoadResult
+	if err == nil {
+		chaos := spec.FailSyncsAfter > 0
+		if chaos {
+			// Injected after the preload so the fill always lands: shard 0's
+			// device starts refusing media syncs partway through the measured
+			// phase, its commit retries exhaust, and it seals fail-stop.
+			h.eng.ShardPools()[0].Internal().PM().SetFaultFn(
+				pmem.FailSyncsAfter(spec.FailSyncsAfter, ErrInjectedFault))
 		}
-		return LoadResult{}, err
-	}
-	if bbStop != nil {
-		bbStop()
-		if err := bbJournal.Close(); err != nil {
-			return LoadResult{}, fmt.Errorf("benchkit: blackbox close: %w", err)
+		res, err = h.measure(spec)
+		if chaos {
+			// Simulated kill: no orderly close, no shutdown marker. Everything
+			// a postmortem needs is already on disk — the journal fsyncs each
+			// append — so the black box is read back exactly as a crash would
+			// leave it (stopping the sampler below only adds the tail-window
+			// snapshot, which a periodic tick would have written anyway). The
+			// faulted shard's pool cannot sync, so Crash's error is expected.
+			_ = h.crash()
 		}
 	}
-	select {
-	case err := <-errs:
-		return LoadResult{}, err
-	default:
+	if cerr := h.close(); err == nil {
+		err = cerr
 	}
-
-	agg := eng.AggregateStats()
-	metrics, err := eng.Metrics()
+	if berr := stopBlackbox(); err == nil {
+		err = berr
+	}
 	if err != nil {
 		return LoadResult{}, err
 	}
-	ack := ackLat.Snapshot()
-	// Durable runs count acks at commit time (AckedWrites); apply runs count
-	// them at apply time (AckedOnApply). Either way it is one ack per write.
-	res := LoadResult{
-		Spec:           spec,
-		AckedWrites:    (agg.AckedWrites + agg.AckedOnApply) - (preAgg.AckedWrites + preAgg.AckedOnApply),
-		Gets:           agg.Gets - preAgg.Gets,
-		GroupCommits:   agg.GroupCommits - preAgg.GroupCommits,
-		BatchMax:       agg.BatchMax,
-		Wall:           wall,
-		Metrics:        metrics,
-		AckP50:         time.Duration(ack.Quantile(0.50)),
-		AckP95:         time.Duration(ack.Quantile(0.95)),
-		AckP99:         time.Duration(ack.Quantile(0.99)),
-		PoolBytes:      poolBytes,
-		EpochLog:       epochLog,
-		CommitP50Bytes: metrics[`paxserve_epoch_delta_bytes{q="p50"}`],
-		CommitP99Bytes: metrics[`paxserve_epoch_delta_bytes{q="p99"}`],
-	}
-	if res.GroupCommits > 0 {
-		res.Amortization = float64(res.AckedWrites) / float64(res.GroupCommits)
-	}
-	if n := metrics["paxserve_epoch_delta_bytes_count"]; n > 0 {
-		res.CommitMeanBytes = metrics["paxserve_epoch_delta_bytes_sum"] / n
-		if poolBytes > 0 {
-			res.WriteAmplification = res.CommitMeanBytes / float64(poolBytes)
-		}
-	}
-	if wall > 0 {
-		res.Throughput = float64(res.AckedWrites) / wall.Seconds()
-		res.OpsThroughput = float64(res.AckedWrites+res.Gets) / wall.Seconds()
-	}
-	res.PerShard, res.ShardImbalance, res.HotShard = perShardLoads(metrics, shardAck, preShard)
 	return res, nil
 }
 
-// perShardLoads folds the merged {shard="K"} metrics plus the client-side
-// per-shard ack histograms into the per-shard breakdown and its imbalance
-// summary (max/mean acked ops; 1.0 = perfectly balanced). base, when
-// non-nil, holds each shard's acked-write count sampled before the measured
-// phase (the preload fill), which is subtracted out.
-func perShardLoads(metrics stats.Summary, shardAck []stats.LatencyHistogram, base []uint64) ([]ShardLoad, float64, int) {
-	loads := make([]ShardLoad, len(shardAck))
-	var sum, max float64
-	hot := 0
-	for k := range loads {
-		lbl := fmt.Sprintf("{shard=%q}", strconv.Itoa(k))
-		acked := metrics["paxserve_acked_writes"+lbl] +
-			metrics["paxserve_acked_on_apply"+lbl] +
-			metrics["paxserve_gets"+lbl]
-		if k < len(base) {
-			acked -= float64(base[k])
-		}
-		snap := shardAck[k].Snapshot()
-		loads[k] = ShardLoad{
-			Shard:                k,
-			AckedOps:             uint64(acked),
-			EnqueueWaitP99Micros: metrics[`paxserve_enqueue_wait_ns{q="p99",shard=`+strconv.Quote(strconv.Itoa(k))+`}`] / 1e3,
-			AckP99Micros:         float64(snap.Quantile(0.99)) / 1e3,
-		}
-		sum += acked
-		if acked > max {
-			max, hot = acked, k
-		}
+// attachBlackbox journals the fleet's lifecycle events and windowed metrics
+// snapshots (every interval, default 250ms — short, so even sub-second runs
+// capture a windowed sample) to <path>.blackbox/. The returned stop detaches
+// the sampler, flushing its tail-window snapshot, and closes the journal.
+func attachBlackbox(eng *server.ShardedEngine, path string, interval time.Duration) (stop func() error, err error) {
+	j, err := blackbox.Open(blackbox.Config{Dir: path + blackbox.DirSuffix})
+	if err != nil {
+		return nil, fmt.Errorf("benchkit: blackbox: %w", err)
 	}
-	imbalance := 0.0
-	if sum > 0 {
-		imbalance = max / (sum / float64(len(loads)))
+	if interval <= 0 {
+		interval = 250 * time.Millisecond
 	}
-	return loads, imbalance, hot
-}
-
-// preloadKeys writes the whole shared keyspace before the measured phase:
-// ack-on-apply puts fanned across the clients' worth of goroutines, then one
-// forced commit per shard so the preload is durable and the measured phase
-// starts from a clean epoch.
-func preloadKeys(eng *server.ShardedEngine, spec LoadSpec, value []byte) error {
-	loaders := spec.Clients
-	if loaders > 64 {
-		loaders = 64
-	}
-	per := (spec.Keys + uint64(loaders) - 1) / uint64(loaders)
-	errs := make(chan error, loaders)
-	var wg sync.WaitGroup
-	for c := 0; c < loaders; c++ {
-		lo, hi := uint64(c)*per, uint64(c+1)*per
-		if hi > spec.Keys {
-			hi = spec.Keys
+	detach := server.AttachBlackbox(eng, j, interval)
+	return func() error {
+		detach()
+		if err := j.Close(); err != nil {
+			return fmt.Errorf("benchkit: blackbox close: %w", err)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if _, err := eng.PutPolicy(sharedKey(i), value, server.AckApply); err != nil {
-					errs <- fmt.Errorf("benchkit: preloading key %d: %w", i, err)
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	_, err := eng.Persist()
-	return err
-}
-
-// runSharedClient is one measured-phase client of the shared-keyspace mode:
-// reads and writes both draw keys from the same sampler (read skew matches
-// write skew — a hot key is hot on both paths), RMWRatio of the writes are
-// read-modify-writes (the ack time then includes the read), and ValueDist
-// sizes each value.
-func runSharedClient(eng *server.ShardedEngine, spec LoadSpec, c int, value []byte, policy server.AckPolicy, ackLat *stats.LatencyHistogram, shardAck []stats.LatencyHistogram, errs chan<- error) {
-	seed := spec.Seed*1_000_003 + int64(c)*2_654_435_761 + 1
-	var sampler keySampler
-	if spec.Dist == "zipf" {
-		s := spec.ZipfS
-		if s == 0 {
-			s = defaultZipfS
-		}
-		sampler = workload.NewZipf(spec.Keys, s, seed)
-	} else {
-		sampler = workload.NewUniform(spec.Keys, seed)
-	}
-	var (
-		readAcc, rmwAcc float64 // error-diffusion accumulators, deterministic per client
-		rng             = uint32(2654435761 * uint64(c+1))
-	)
-	// Under fault injection (FailSyncsAfter) errors are the experiment:
-	// the sealed shard refuses this client's ops, so it stops quietly.
-	chaos := spec.FailSyncsAfter > 0
-	for op := 0; op < spec.OpsPerClient; op++ {
-		readAcc += spec.ReadRatio
-		if readAcc >= 1 {
-			readAcc--
-			key := sharedKey(sampler.Next())
-			if _, ok, err := eng.Get(key); err != nil || !ok {
-				if chaos {
-					return
-				}
-				errs <- fmt.Errorf("client %d read %s: ok=%v err=%v", c, key, ok, err)
-				return
-			}
-			continue
-		}
-		key := sharedKey(sampler.Next())
-		v := value
-		if spec.ValueDist == "uniform" {
-			rng = rng*1664525 + 1013904223
-			v = value[:1+int(rng%uint32(len(value)))]
-		}
-		rmw := false
-		if rmwAcc += spec.RMWRatio; rmwAcc >= 1 {
-			rmwAcc--
-			rmw = true
-		}
-		shard := eng.ShardFor(key)
-		t0 := time.Now()
-		if rmw {
-			if _, ok, err := eng.Get(key); err != nil || !ok {
-				if chaos {
-					return
-				}
-				errs <- fmt.Errorf("client %d rmw-read %s: ok=%v err=%v", c, key, ok, err)
-				return
-			}
-		}
-		if _, err := eng.PutPolicy(key, v, policy); err != nil {
-			if chaos {
-				return
-			}
-			errs <- fmt.Errorf("client %d op %d: %w", c, op, err)
-			return
-		}
-		d := time.Since(t0).Nanoseconds()
-		ackLat.Observe(d)
-		shardAck[shard].Observe(d)
-	}
+		return nil
+	}, nil
 }
 
 // EpochStoreAmplification is the epoch-store A/B: the same fixed workload
@@ -867,43 +509,28 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			float64(res.AckP99.Microseconds())/1e3)
 	}
 
-	// The GET-heavy sweep is the read-path A/B: 95% GETs, commit-latency-
-	// bound writes. "queued" serializes every GET through the writer loop
-	// (the pre-read-index engine); "index" serves GETs from the volatile
-	// read index while commits are in flight. The mix matches the recorded
-	// BENCH_loadgen.json sweep; closed-loop clients bound the queued path at
-	// roughly one op per client per commit cycle, so the ratio grows with
-	// the read fraction.
+	// The GET-heavy sweep serves 95% GETs from the volatile read index while
+	// commit-latency-bound writes are in flight. The mix matches the recorded
+	// BENCH_loadgen.json sweep, whose queued-read rows are the A/B against
+	// the pre-index engine.
 	readTable := stats.NewTable("loadgen: GET-heavy read path (read-ratio 0.95, 128 clients, 2ms media commit)",
-		"shards", "read path", "acked writes", "gets", "wall ms", "ops/s", "index speedup")
+		"shards", "acked writes", "gets", "wall ms", "ops/s")
 	for _, shards := range []int{1, 4} {
-		var queuedOps float64
-		for _, queued := range []bool{true, false} {
-			res, err := RunLoad(LoadSpec{
-				Clients:       128,
-				OpsPerClient:  ops * 2,
-				ValueBytes:    64,
-				ReadRatio:     0.95,
-				QueuedReads:   queued,
-				MaxBatch:      16,
-				MaxDelay:      2 * time.Millisecond,
-				Shards:        shards,
-				CommitLatency: 2 * time.Millisecond,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards, queued=%v): %v", shards, queued, err))
-			}
-			path := "index"
-			speedup := 0.0
-			if queued {
-				path = "queued"
-				queuedOps = res.OpsThroughput
-			} else if queuedOps > 0 {
-				speedup = res.OpsThroughput / queuedOps
-			}
-			readTable.AddRowf(shards, path, res.AckedWrites, res.Gets,
-				float64(res.Wall.Milliseconds()), res.OpsThroughput, speedup)
+		res, err := RunLoad(LoadSpec{
+			Clients:       128,
+			OpsPerClient:  ops * 2,
+			ValueBytes:    64,
+			ReadRatio:     0.95,
+			MaxBatch:      16,
+			MaxDelay:      2 * time.Millisecond,
+			Shards:        shards,
+			CommitLatency: 2 * time.Millisecond,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards): %v", shards, err))
 		}
+		readTable.AddRowf(shards, res.AckedWrites, res.Gets,
+			float64(res.Wall.Milliseconds()), res.OpsThroughput)
 	}
 	return []*stats.Table{clientsTable, shardsTable, readTable}
 }

@@ -3,11 +3,8 @@ package benchkit
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
-	"pax"
 	"pax/internal/server"
 	"pax/internal/stats"
 )
@@ -74,51 +71,24 @@ func (r SplitResult) JSON() []LoadJSON {
 // multi-shard (Shards >= 2; bare layouts cannot split).
 func RunSplitLoad(spec LoadSpec) (SplitResult, error) {
 	var out SplitResult
-	if spec.PoolDir == "" || spec.Keys == 0 || spec.Shards < 2 {
-		return out, fmt.Errorf("benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2, got %+v", spec)
+	if err := checkReshardSpec(spec, "split"); err != nil {
+		return out, err
 	}
-	if spec.AckOnApply {
-		// The crash check asserts every acked write survives; apply-acked
-		// writes are allowed to roll back, so the assertion would be vacuous.
-		return out, fmt.Errorf("benchkit: split load measures durable acks; AckOnApply would make the crash check vacuous")
-	}
-	shards := spec.Shards
-	opts := pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: spec.EpochLog, Overwrite: true}
-	if spec.DataSize > 0 {
-		opts.DataSize = spec.DataSize
-	}
-	path := filepath.Join(spec.PoolDir, "load.pool")
-	cfg := server.Config{
-		MaxBatch:           spec.MaxBatch,
-		MaxDelay:           spec.MaxDelay,
-		Async:              spec.Async,
-		CommitLatency:      spec.CommitLatency,
-		QueuedReads:        spec.QueuedReads,
-		MaxInflightCommits: spec.MaxInflightCommits,
-	}
-	eng, err := server.OpenSharded(path, shards, opts, 0, cfg)
+	h, err := openHarness(spec, 0)
 	if err != nil {
 		return out, err
 	}
-	value := make([]byte, spec.ValueBytes)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	if err := preloadKeys(eng, spec, value); err != nil {
-		eng.Close()
+	defer h.close()
+	if err := h.preload(); err != nil {
 		return out, err
 	}
-
-	out.Pre, err = measurePhase(eng, spec, value, 0)
-	if err != nil {
-		eng.Close()
+	if out.Pre, err = h.measure(h.spec); err != nil {
 		return out, err
 	}
 
 	splitStart := time.Now()
-	rep, err := eng.Split(-1)
+	rep, err := h.eng.Split(-1)
 	if err != nil {
-		eng.Close()
 		return out, fmt.Errorf("benchkit: live split: %w", err)
 	}
 	out.Report = rep
@@ -132,134 +102,14 @@ func RunSplitLoad(spec LoadSpec) (SplitResult, error) {
 		SplitMS:    float64(time.Since(splitStart).Microseconds()) / 1e3,
 	}
 
-	// Reseed so the post phase draws a fresh sample of the same distribution
-	// rather than replaying identical key sequences against warm state.
-	post := spec
-	post.Seed = spec.Seed + 7919
-	post.Shards = eng.NumShards()
-	out.Post, err = measurePhase(eng, post, value, 1)
-	if err != nil {
-		eng.Close()
+	if out.Post, err = h.measure(h.postSpec()); err != nil {
 		return out, err
 	}
-
-	// Crash (no final commit) and reopen from the discovered layout: every
-	// key must still be present — the preload was durable and every measured
-	// write was acked durable, so a miss is a lost acked write.
-	if err := eng.Crash(); err != nil {
-		return out, fmt.Errorf("benchkit: crash after split: %w", err)
+	if _, out.Split.LostKeys, err = h.crashAndVerify(); err != nil {
+		return out, err
 	}
-	n, err := server.DiscoverShards(path)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: rediscovering layout: %w", err)
-	}
-	reopenOpts := opts
-	reopenOpts.Overwrite = false
-	reng, err := server.OpenSharded(path, n, reopenOpts, 0, cfg)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: reopening after crash: %w", err)
-	}
-	defer reng.Close()
-	lost := 0
-	for i := uint64(0); i < spec.Keys; i++ {
-		if _, ok, err := reng.Get(sharedKey(i)); err != nil || !ok {
-			lost++
-		}
-	}
-	out.Split.LostKeys = lost
-	out.Split.CrashVerified = lost == 0
+	out.Split.CrashVerified = out.Split.LostKeys == 0
 	return out, nil
-}
-
-// measurePhase runs one measured shared-keyspace phase against an already
-// preloaded engine and folds the counter deltas into a LoadResult. Unlike
-// RunLoad it samples the per-shard counters before and after (the engine
-// stays open across phases), so each phase's imbalance reflects only its own
-// traffic.
-func measurePhase(eng *server.ShardedEngine, spec LoadSpec, value []byte, phase int) (LoadResult, error) {
-	policy := server.AckDurable
-	if spec.AckOnApply {
-		policy = server.AckApply
-	}
-	before := shardCounters(eng)
-	aggBefore := eng.AggregateStats()
-	shardAck := make([]stats.LatencyHistogram, eng.NumShards())
-	var ackLat stats.LatencyHistogram
-	errs := make(chan error, spec.Clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < spec.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// Offset the per-client seed by phase so the two phases do not
-			// replay the same streams.
-			phased := spec
-			phased.Seed = spec.Seed + int64(phase)*1_000_000_007
-			runSharedClient(eng, phased, c, value, policy, &ackLat, shardAck, errs)
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	select {
-	case err := <-errs:
-		return LoadResult{}, err
-	default:
-	}
-	after := shardCounters(eng)
-	agg := eng.AggregateStats()
-
-	ack := ackLat.Snapshot()
-	res := LoadResult{
-		Spec:         spec,
-		AckedWrites:  (agg.AckedWrites + agg.AckedOnApply) - (aggBefore.AckedWrites + aggBefore.AckedOnApply),
-		Gets:         agg.Gets - aggBefore.Gets,
-		GroupCommits: agg.GroupCommits - aggBefore.GroupCommits,
-		BatchMax:     agg.BatchMax,
-		Wall:         wall,
-		AckP50:       time.Duration(ack.Quantile(0.50)),
-		AckP95:       time.Duration(ack.Quantile(0.95)),
-		AckP99:       time.Duration(ack.Quantile(0.99)),
-		PoolBytes:    int64(eng.MediaSize()),
-		EpochLog:     eng.EpochLogEnabled(),
-	}
-	if res.GroupCommits > 0 {
-		res.Amortization = float64(res.AckedWrites) / float64(res.GroupCommits)
-	}
-	if wall > 0 {
-		res.Throughput = float64(res.AckedWrites) / wall.Seconds()
-		res.OpsThroughput = float64(res.AckedWrites+res.Gets) / wall.Seconds()
-	}
-	loads := make([]ShardLoad, len(after))
-	var sum, max float64
-	for k := range after {
-		delta := after[k]
-		if k < len(before) {
-			delta -= before[k]
-		}
-		snap := shardAck[k].Snapshot()
-		loads[k] = ShardLoad{
-			Shard:        k,
-			AckedOps:     delta,
-			AckP99Micros: float64(snap.Quantile(0.99)) / 1e3,
-		}
-		sum += float64(delta)
-		if float64(delta) > max {
-			max = float64(delta)
-			res.HotShard = k
-		}
-	}
-	if sum > 0 {
-		res.ShardImbalance = max / (sum / float64(len(loads)))
-	}
-	res.PerShard = loads
-	return res, nil
-}
-
-// shardCounters samples each shard's acked-op counters (atomic; safe under
-// traffic) so phases can difference them.
-func shardCounters(eng *server.ShardedEngine) []uint64 {
-	return eng.ShardAckedWrites()
 }
 
 // Reshard is the experiment wrapper: a zipfian skew sweep (the recorded size

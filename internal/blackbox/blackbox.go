@@ -381,19 +381,7 @@ func (j *Journal) Append(typ string, payload []byte) error {
 		}
 	}
 
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf[0:4], recMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(typ)))
-	binary.LittleEndian.PutUint64(buf[8:16], j.nextSeq)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(time.Now().UnixNano()))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(len(payload)))
-	copy(buf[recHeaderSize:], typ)
-	copy(buf[recHeaderSize+len(typ):], payload)
-	crc := crc32.Checksum(buf[:recHeaderSize+len(typ)+len(payload)], crcTable)
-	trailer := buf[len(buf)-recTrailerSize:]
-	binary.LittleEndian.PutUint32(trailer[0:4], crc)
-	binary.LittleEndian.PutUint64(trailer[4:12], recCommitMark)
-
+	buf := encodeRecord(j.nextSeq, time.Now().UnixNano(), typ, payload)
 	if _, err := j.f.WriteAt(buf, j.activeSize); err != nil {
 		// Rewind so a partial write does not sit between committed records.
 		_ = j.f.Truncate(j.activeSize)
@@ -411,6 +399,24 @@ func (j *Journal) Append(typ string, payload []byte) error {
 	j.activeSize += size
 	j.segs[len(j.segs)-1].records++
 	return nil
+}
+
+// encodeRecord frames one record: header, type and payload, then the CRC
+// over both and the commit mark.
+func encodeRecord(seq uint64, unixNano int64, typ string, payload []byte) []byte {
+	buf := make([]byte, recHeaderSize+len(typ)+len(payload)+recTrailerSize)
+	binary.LittleEndian.PutUint32(buf[0:4], recMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(typ)))
+	binary.LittleEndian.PutUint64(buf[8:16], seq)
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(unixNano))
+	binary.LittleEndian.PutUint64(buf[24:32], uint64(len(payload)))
+	copy(buf[recHeaderSize:], typ)
+	copy(buf[recHeaderSize+len(typ):], payload)
+	crc := crc32.Checksum(buf[:recHeaderSize+len(typ)+len(payload)], crcTable)
+	trailer := buf[len(buf)-recTrailerSize:]
+	binary.LittleEndian.PutUint32(trailer[0:4], crc)
+	binary.LittleEndian.PutUint64(trailer[4:12], recCommitMark)
+	return buf
 }
 
 // AppendJSON marshals v and journals it under typ.

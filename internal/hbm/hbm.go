@@ -63,6 +63,8 @@ type slot struct {
 // Cache is the HBM cache: set-associative, with durability-aware eviction.
 // It is purely functional; the device charges HBM latency itself.
 type Cache struct {
+	// sets views consecutive runs of ways in one flat slot array: two
+	// allocations per cache instead of one per set.
 	sets   [][]slot
 	mask   uint64
 	ways   int
@@ -93,9 +95,11 @@ func New(sizeBytes, ways int, policy Policy) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("hbm: set count %d not a power of two", numSets))
 	}
+	slots := make([]slot, numSets*ways)
 	sets := make([][]slot, numSets)
 	for i := range sets {
-		sets[i] = make([]slot, ways)
+		lo := i * ways
+		sets[i] = slots[lo : lo+ways : lo+ways]
 	}
 	return &Cache{sets: sets, mask: uint64(numSets - 1), ways: ways, policy: policy,
 		dirty: make(map[uint64]struct{})}

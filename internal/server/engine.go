@@ -91,11 +91,6 @@ type Config struct {
 	// EnqueueTimeout is how long a request waits for queue space before
 	// failing with ErrBusy (default 5s).
 	EnqueueTimeout time.Duration
-	// Async commits batches with PersistAsync (§6 pipelined persist): the
-	// snapshot point is unchanged but the writer loop overlaps the device's
-	// commit with the next batch. Acks then mean "snapshot taken", not
-	// "snapshot fully on media".
-	Async bool
 	// CommitLatency models the real-time cost of making an epoch durable on
 	// the backing medium (an msync-class sync, an Optane flush): the writer
 	// blocks this long per group commit, after Persist and before acking the
@@ -105,13 +100,6 @@ type Config struct {
 	// across shards, which is exactly what the loadgen shard sweep measures.
 	// Zero (the default) commits at simulator speed.
 	CommitLatency time.Duration
-	// QueuedReads routes GETs through the writer queue instead of the read
-	// index — the engine's pre-index behavior, kept so the read-path win
-	// stays measurable (`paxbench -loadgen -queued-reads`) and so a queued
-	// read remains available as a consistency oracle in tests. A queued GET
-	// serializes behind every request ahead of it, including commits in
-	// flight.
-	QueuedReads bool
 	// CommitRetries is how many extra persist attempts a group commit whose
 	// media sync failed gets before the engine gives up and seals
 	// (default 3; negative disables retries). A fault that clears within
@@ -308,7 +296,7 @@ type issuedCommit struct {
 type EngineStats struct {
 	AckedWrites  stats.Counter // mutations acked durable (at commit)
 	AckedOnApply stats.Counter // mutations acked at apply time (AckApply), durability pending
-	Gets         stats.Counter // reads served (index + queued)
+	Gets         stats.Counter // reads served from the read index
 	GroupCommits stats.Counter // snapshots taken by the writer loop
 	BatchMax     stats.Counter // largest batch committed (gauge-as-counter)
 	Rejects      stats.Counter // requests dropped by backpressure
@@ -348,8 +336,7 @@ type EngineStats struct {
 	// amplification, exported as paxserve_epoch_amplification.
 	DeltaBytes stats.LatencyHistogram
 
-	// GET service time, split by read-index hit/miss (queued reads land in
-	// the same pair, classified by whether the key was found).
+	// GET service time, split by read-index hit/miss.
 	GetHitNS  stats.LatencyHistogram
 	GetMissNS stats.LatencyHistogram
 }
@@ -532,9 +519,9 @@ func (r *request) finish(res result) { r.done <- res }
 // their requests applied in call order — that is what lets the TCP server
 // pipeline a connection's writes without reordering them.
 //
-// GETs (unless Config.QueuedReads) never reach the queue: begin answers them
-// inline from the read index, which is what lets the TCP server resolve a
-// pipelined GET without serializing it behind the connection's PUT acks.
+// GETs never reach the queue: begin answers them inline from the read
+// index, which is what lets the TCP server resolve a pipelined GET without
+// serializing it behind the connection's PUT acks.
 func (e *Engine) begin(req *request) error {
 	if req.op == opSplit || req.op == opMerge {
 		name := "SPLIT"
@@ -566,7 +553,7 @@ func (e *Engine) begin(req *request) error {
 		req.finish(result{value: buf})
 		return nil
 	}
-	if req.op == opGet && !e.cfg.QueuedReads {
+	if req.op == opGet {
 		v, ok, err := e.Get(req.key)
 		if err != nil {
 			return err
@@ -645,16 +632,9 @@ func (e *Engine) applyBarrier() error {
 
 // Get returns the current value for key, served from the volatile read
 // index: applied order, not necessarily durable yet — read-your-writes with
-// respect to acked mutations, exactly the guarantee queued reads gave. Get
-// never blocks behind the request queue or a commit in flight. The returned
-// slice is the caller's to keep.
-//
-// With Config.QueuedReads the read takes the writer queue instead.
+// respect to acked mutations. Get never blocks behind the request queue or
+// a commit in flight. The returned slice is the caller's to keep.
 func (e *Engine) Get(key []byte) ([]byte, bool, error) {
-	if e.cfg.QueuedReads {
-		res := e.do(opGet, key, nil)
-		return res.value, res.found, res.err
-	}
 	// The read lock stays held across the index lookup, so seal's write
 	// lock orders every read either wholly before the seal is published or
 	// after it — and the seal is published before any writer sees ErrSealed.
@@ -869,7 +849,7 @@ func (e *Engine) Crash() {
 // apply executes one request against the pool, under poolMu so no mutation
 // (or registry sample of live pool state) overlaps a snapshot point in the
 // persister. Ack-on-durable mutations and persists are returned as waiters
-// to be acked at the batch commit; reads and stats are answered
+// to be acked at the batch commit; barriers and stats are answered
 // immediately, and ack-on-apply mutations are acked right here — after the
 // read-index mirror, so an acked-on-apply write is read-your-writes
 // visible — with mutated reporting that the batch still needs a commit.
@@ -877,20 +857,6 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
 	switch req.op {
-	case opGet:
-		// Only Config.QueuedReads sends GETs here; the index answers the
-		// rest in begin. The timing covers the pool lookup only — the queue
-		// wait a queued read pays shows up as commit latency, not here.
-		t0 := time.Now()
-		v, ok := e.kv.Get(req.key)
-		e.stats.Gets.Inc()
-		if ok {
-			e.stats.GetHitNS.Since(t0)
-		} else {
-			e.stats.GetMissNS.Since(t0)
-		}
-		req.finish(result{value: v, found: ok})
-		return nil, false
 	case opPut:
 		if err := e.kv.Put(req.key, req.value); err != nil {
 			req.finish(result{err: err})
@@ -940,14 +906,11 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	return nil, false
 }
 
-// persistLocked runs one persist attempt in the configured commit mode,
-// under poolMu: the snapshot point must not overlap a sealer apply (§3.5).
+// persistLocked runs one persist attempt under poolMu: the snapshot point
+// must not overlap a sealer apply (§3.5).
 func (e *Engine) persistLocked() (pax.PersistStats, error) {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
-	if e.cfg.Async {
-		return e.pool.PersistAsync()
-	}
 	return e.pool.Persist()
 }
 
@@ -1117,11 +1080,10 @@ func (e *Engine) sealToPipeline(b *sealedBatch) bool {
 }
 
 // loop is the sealer: the writer goroutine that owns request admission and
-// applies batches. Queued reads inside a batch are answered as they are
-// applied; a batch seals when it is full, when MaxDelay expires, on an
-// explicit persist, or when the engine drains for shutdown. Closing sealedq
-// on every exit path is what winds down the persister (and, through it, the
-// acker).
+// applies batches. A batch seals when it is full, when MaxDelay expires, on
+// an explicit persist, or when the engine drains for shutdown. Closing
+// sealedq on every exit path is what winds down the persister (and, through
+// it, the acker).
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	defer close(e.sealedq)

@@ -14,8 +14,8 @@ import "sync"
 //   - Read-your-writes with respect to applied mutations: the writer updates
 //     the index at apply time, before the mutation's ack, so any GET issued
 //     after a PUT/DELETE ack sees it.
-//   - Reads may observe applied-but-not-yet-durable data — the same window
-//     queued reads always had, since apply also precedes commit.
+//   - Reads may observe applied-but-not-yet-durable data: apply precedes
+//     commit.
 //   - The index is volatile by design: it dies with the engine and is rebuilt
 //     from the *recovered* pool at startup, so a value rolled back by crash
 //     recovery is never served.
@@ -126,7 +126,8 @@ func (ix *readIndex) collect(keep func(key []byte) bool) []indexEntry {
 	return out
 }
 
-// len reports the indexed entry count (for the rebuild counter and tests).
+// len reports the indexed entry count (for the rebuild counter, the
+// missing-slot-map check at open, and tests).
 func (ix *readIndex) len() int {
 	n := 0
 	for i := range ix.stripes {

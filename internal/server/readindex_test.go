@@ -336,18 +336,3 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	}
 	<-putDone
 }
-
-func TestQueuedReadsConfigStillServes(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: time.Millisecond, QueuedReads: true})
-	defer pool.Close()
-	defer eng.Close()
-	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := eng.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("queued get: %q %v %v", v, ok, err)
-	}
-	if eng.Stats().ReadIndexHits.Load() != 0 {
-		t.Fatal("queued reads must not touch the read index counters")
-	}
-}

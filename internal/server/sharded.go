@@ -224,9 +224,9 @@ func DiscoverShards(path string) (int, error) {
 // Routing state comes up in one of three ways: a persisted slot map is
 // loaded and its routing reconciled (crash leftovers from an interrupted
 // migration are purged — see openRoute); a fresh or overwritten layout gets
-// the default round-robin map; and a pre-slot-map multi-shard layout is
-// adopted in place, moving any key whose slot-map owner differs from its
-// legacy FNV-mod-N owner before serving starts.
+// the default round-robin map; and an existing multi-shard layout with no
+// slot map opens with the default map only if every shard is empty, and is
+// refused otherwise.
 func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config) (*ShardedEngine, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("server: shard count %d must be positive", shards)
@@ -376,11 +376,11 @@ func (s *ShardedEngine) ShardPools() []*pax.Pool {
 //     serving starts it is idempotent across repeated crashes.
 //  2. No map, fresh/overwritten or single-shard layout: install the default
 //     map (persisting it for file-backed multi-shard layouts).
-//  3. No map, existing multi-shard layout (pre-slot-map files): adopt — any
-//     key whose default-map owner differs from the shard that holds it is
-//     copied to its owner, deleted from the holder, and the map persisted
-//     last. For power-of-two shard counts the default map reproduces legacy
-//     FNV-mod-N routing exactly and nothing moves.
+//  3. No map, existing file-backed multi-shard layout: legal only when every
+//     shard is empty — a crash after the shard files were created but before
+//     the first map save. Install and save the default map. If any shard
+//     holds keys, the map that routed them is gone and guessing an owner
+//     could serve a key from the wrong shard, so the open is refused.
 func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 	shards := *s.shards.Load()
 	n := len(shards)
@@ -400,11 +400,12 @@ func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 	if !s.persistMap {
 		return nil
 	}
-	if !fresh && n > 1 {
-		// Adoption: the files predate slot routing (MapPool on an existing
-		// layout with no sidecar). Move misplaced keys before serving.
-		if err := s.adoptLegacyLayout(); err != nil {
-			return err
+	if !fresh {
+		for k, sh := range shards {
+			if keys := sh.eng.idx.len(); keys > 0 {
+				return fmt.Errorf("server: slot map %s is missing but shard %d holds %d keys; refusing to guess their routing",
+					SlotMapPath(s.path), k, keys)
+			}
 		}
 	}
 	return m.Save(s.path)
@@ -425,46 +426,6 @@ func (s *ShardedEngine) purgeMisrouted() error {
 				return fmt.Errorf("server: shard %d: purging misrouted key: %w", k, err)
 			}
 			s.reshard.purgedKeys.Add(1)
-		}
-	}
-	return nil
-}
-
-// adoptLegacyLayout moves every key from the shard the legacy FNV-mod-N
-// router stored it on to the shard the slot map assigns. Copy-all then
-// delete-all, each durable, with the map saved only after — so a crash at
-// any point re-runs adoption on next open, and re-copying an already-moved
-// key rewrites the same value (no writes happen before serving starts).
-func (s *ShardedEngine) adoptLegacyLayout() error {
-	shards := *s.shards.Load()
-	m := s.route.Load()
-	for k := range shards {
-		self := k
-		moving := shards[k].eng.idx.collect(func(key []byte) bool {
-			return int(m.Assign[SlotFor(key)]) != self
-		})
-		if len(moving) == 0 {
-			continue
-		}
-		for _, e := range moving {
-			owner := int(m.Assign[SlotFor(e.key)])
-			if _, err := shards[owner].eng.PutPolicy(e.key, e.value, AckApply); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", owner, err)
-			}
-		}
-		// One durable barrier per destination beats one commit per key.
-		for owner := range shards {
-			if owner == self {
-				continue
-			}
-			if _, err := shards[owner].eng.Persist(); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", owner, err)
-			}
-		}
-		for _, e := range moving {
-			if _, _, err := shards[self].eng.Delete(e.key); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", self, err)
-			}
 		}
 	}
 	return nil
@@ -840,19 +801,6 @@ func (s *ShardedEngine) AggregateStats() AggregateStats {
 		}
 	}
 	return a
-}
-
-// ShardAckedWrites samples each shard's acked-writes counter (durable +
-// on-apply acks), indexed by shard — the imbalance signal the loadgen
-// reports as max/mean. Counters are atomic, so this is safe under traffic.
-func (s *ShardedEngine) ShardAckedWrites() []uint64 {
-	shards := *s.shards.Load()
-	out := make([]uint64, len(shards))
-	for k, sh := range shards {
-		st := sh.eng.Stats()
-		out[k] = st.AckedWrites.Load() + st.AckedOnApply.Load()
-	}
-	return out
 }
 
 // Health reports each shard's seal error, indexed by shard: nil for a shard

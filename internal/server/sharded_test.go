@@ -352,3 +352,58 @@ func TestOpenShardedFirstErrorWins(t *testing.T) {
 		t.Fatal("OpenSharded succeeded over an unopenable shard")
 	}
 }
+
+// An existing multi-shard layout without its slot-map sidecar opens only
+// when every shard is empty (a crash after the shard files were created but
+// before the first map save); with keys on any shard the open is refused
+// with an error naming the missing sidecar.
+func TestOpenShardedMissingSlotMap(t *testing.T) {
+	layout := func(t *testing.T, keys int) string {
+		t.Helper()
+		pool := filepath.Join(t.TempDir(), "kv.pool")
+		eng := newSharded(t, pool, 2, Config{})
+		for i := 0; i < keys; i++ {
+			if _, err := eng.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(SlotMapPath(pool)); err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}
+
+	t.Run("empty shards open with the default map", func(t *testing.T) {
+		pool := layout(t, 0)
+		eng := newSharded(t, pool, 2, Config{})
+		defer eng.Close()
+		m, err := LoadSlotMap(pool)
+		if err != nil || m == nil {
+			t.Fatalf("slot map not saved on open: %v %v", m, err)
+		}
+		if m.Assign != DefaultSlotMap(2).Assign {
+			t.Fatal("saved map is not the default map")
+		}
+		if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("keys without a map are refused", func(t *testing.T) {
+		pool := layout(t, 8)
+		eng, err := OpenSharded(pool, 2, smallOpts(), 0, Config{})
+		if err == nil {
+			eng.Close()
+			t.Fatal("opened a non-empty layout with no slot map")
+		}
+		if !strings.Contains(err.Error(), SlotMapPath(pool)) {
+			t.Fatalf("error %q does not name the missing sidecar", err)
+		}
+		if _, statErr := os.Stat(SlotMapPath(pool)); !os.IsNotExist(statErr) {
+			t.Fatalf("refused open still wrote a slot map: %v", statErr)
+		}
+	})
+}

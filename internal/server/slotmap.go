@@ -70,9 +70,8 @@ type SlotMap struct {
 
 // DefaultSlotMap spreads the slots round-robin across n shards: slot s →
 // s mod n. For shard counts that divide NumSlots (every power of two up to
-// 256) this reproduces the legacy FNV-mod-N routing exactly — (h mod 256)
-// mod n == h mod n when n divides 256 — so adopting a pre-slot-map layout
-// moves no keys at all in the common power-of-two case.
+// 256) a key's owner is then FNV-1a(key) mod n, since (h mod 256) mod n ==
+// h mod n when n divides 256.
 func DefaultSlotMap(n int) *SlotMap {
 	m := &SlotMap{Version: slotMapVersion, Shards: n}
 	for s := 0; s < NumSlots; s++ {
@@ -129,9 +128,9 @@ func (m *SlotMap) maxShard() int {
 }
 
 // LoadSlotMap reads and validates the slot map persisted for the layout at
-// path. A missing file returns (nil, nil): the layout predates slot routing
-// (or is a bare single-shard pool, which never writes one) and the caller
-// falls back to the default assignment.
+// path. A missing file returns (nil, nil): the layout is fresh, is a bare
+// single-shard pool (which never writes one), or crashed before its first
+// map save; OpenSharded decides which (see openRoute).
 func LoadSlotMap(path string) (*SlotMap, error) {
 	data, err := os.ReadFile(SlotMapPath(path))
 	if errors.Is(err, os.ErrNotExist) {

@@ -28,10 +28,10 @@ func TestSlotForRangeAndDeterminism(t *testing.T) {
 	}
 }
 
-// The slot hash must be FNV-1a — the same hash the pre-slot-map router used —
-// so DefaultSlotMap(n) with n dividing NumSlots reproduces the legacy
-// FNV-mod-n routing exactly and power-of-two layouts adopt with zero
-// movement.
+// The slot hash is FNV-1a, and for n dividing NumSlots DefaultSlotMap(n)
+// routes every key exactly as FNV-1a mod n would: (h mod 256) mod n ==
+// h mod n. Routing is therefore a pure function of the key bytes and the
+// fleet size, the same on every host and across restarts.
 func TestSlotForMatchesLegacyFNVRouting(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		m := DefaultSlotMap(n)
@@ -68,7 +68,8 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
 
-	// No file is not an error — it is the legacy layout.
+	// No file is not an error: the caller decides whether a missing map is
+	// legal (a fresh or empty layout) or not.
 	if m2, err := LoadSlotMap(filepath.Join(dir, "absent.pool")); m2 != nil || err != nil {
 		t.Fatalf("missing slot map: %+v %v", m2, err)
 	}
